@@ -34,6 +34,7 @@ from .errors import (
     NotOnArc,
     ParameterOutOfRange,
     PoleDegenerate,
+    SamplingExhausted,
     SphereGeometryError,
     TooFewPoints,
 )

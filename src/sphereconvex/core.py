@@ -53,6 +53,24 @@ def _as_unit_vector(v) -> np.ndarray:
     return w
 
 
+def _as_unit_rows(points) -> np.ndarray:
+    """A fresh (n,3) array of unit rows from an (n,3) array or a sequence of
+    SpherePoints and 3-sequences, each row checked as by _as_unit_vector.
+
+    Rows all within EPS_UNIT/2 of unit norm (so within EPS_UNIT by
+    _as_unit_vector's own norm, and kept as they are) pass in one vectorised
+    test; any other input goes through _as_unit_vector row by row."""
+    if not isinstance(points, np.ndarray):
+        points = [p.v if isinstance(p, SpherePoint) else p for p in points]
+    try:
+        arr = np.array(points, dtype=float)
+    except ValueError:  # ragged or non-numeric rows: the row checks say which
+        arr = np.empty(0)
+    if arr.shape[1:] == (3,) and np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 0.5 * EPS_UNIT):
+        return arr
+    return np.array([_as_unit_vector(p) for p in points]).reshape(-1, 3)
+
+
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
     """A point of the unit sphere, stored as a unit 3-vector."""

@@ -51,3 +51,7 @@ class DiameterOutOfRange(SphereGeometryError):
 
 class ConfigError(SphereGeometryError, ValueError):
     """A verification-campaign configuration field is invalid."""
+
+
+class SamplingExhausted(SphereGeometryError, RuntimeError):
+    """A seeded sampler used up its attempts without an acceptable draw."""

@@ -7,9 +7,9 @@ projection maps great circles to straight lines, planar convexity inside the
 chart coincides with spherical convexity.
 
 The boundary diameter is computed by exact candidate enumeration rather than
-sampling: for diameters above pi/2 the farthest boundary pair may sit in the
-interior of one or two edges, and those critical configurations are where
-the connecting geodesic meets the edges orthogonally.
+sampling: for diameters above pi/2 one point of the farthest boundary pair
+may sit in the interior of an edge, where the connecting geodesic meets that
+edge orthogonally.
 """
 
 from __future__ import annotations
@@ -20,18 +20,18 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull as _PlanarHull
 from scipy.spatial import QhullError
 
 from . import vecmath
-from .core import EPS_ANTIPODE, EPS_ON, SpherePoint
+from .core import EPS_ANTIPODE, EPS_ON, SpherePoint, _as_unit_rows
 from .errors import (
     DegenerateHull,
     DiameterOutOfRange,
     DomainError,
     InvalidPolygon,
     NoHemisphere,
+    SamplingExhausted,
     TooFewPoints,
 )
 from .quad import phi
@@ -49,15 +49,14 @@ _ARC_SLACK = 1e-10
 
 VERTEX_VERTEX = "vertex-vertex"
 VERTEX_EDGE = "vertex-edge"
-EDGE_EDGE = "edge-edge"
 
 
 def _chart_basis(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed orthonormal tangent basis at center (e1 x e2 == center)."""
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(center)))] = 1.0
-    e1 = vecmath.unit(np.cross(axis, center))
-    e2 = np.cross(center, e1)
+    e1 = vecmath.unit(vecmath.cross(axis, center))
+    e2 = vecmath.cross(center, e1)
     return e1, e2
 
 
@@ -82,6 +81,7 @@ def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
         c = s / ns
         if float(np.min(pts @ c)) > EPS_HEMI:
             return c
+    from scipy.optimize import linprog  # costly import; uniform caps never get here
     n = pts.shape[0]
     res = linprog(
         c=[0.0, 0.0, 0.0, -1.0],
@@ -100,6 +100,19 @@ def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
     if float(np.min(pts @ c)) <= EPS_HEMI:
         raise NoHemisphere("hemisphere containment margin below EPS_HEMI")
     return c
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _vertex_angles(V: np.ndarray) -> np.ndarray:
+    """Interior angle at each vertex of the cycle V, from the tangents there
+    towards the previous and the next vertex."""
+    tp = vecmath.unit(vecmath.reject(np.roll(V, 1, axis=0), V))
+    tn = vecmath.unit(vecmath.reject(np.roll(V, -1, axis=0), V))
+    return vecmath.ang(tp, tn)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +136,7 @@ class SphericalPolygon:
         c = self.hemisphere_center.v
         if float(np.min(V @ c)) <= EPS_HEMI:
             raise InvalidPolygon("a vertex is not strictly inside the open hemisphere")
-        steps = vecmath.ang(V, np.roll(V, -1, axis=0))
-        if np.any(steps <= EPS_ANTIPODE) or np.any(steps >= math.pi - EPS_ANTIPODE):
+        if np.any(self._edge_lengths <= EPS_ANTIPODE) or np.any(self._edge_lengths >= math.pi - EPS_ANTIPODE):
             raise InvalidPolygon("consecutive vertices equal or antipodal")
         Z = _to_chart(c, V)
         e = np.roll(Z, -1, axis=0) - Z
@@ -141,34 +153,23 @@ class SphericalPolygon:
 
     @cached_property
     def _varr(self) -> np.ndarray:
-        a = np.array([p.v for p in self.vertices])
-        a.flags.writeable = False
-        return a
+        return _frozen(np.array([p.v for p in self.vertices]))
 
     @cached_property
     def _edge_normals(self) -> np.ndarray:
         """Unit normals of the edge great circles; interior is on the
         non-negative side of each."""
         V = self._varr
-        n = vecmath.unit(np.cross(V, np.roll(V, -1, axis=0)))
-        n.flags.writeable = False
-        return n
+        return _frozen(vecmath.unit(vecmath.cross(V, np.roll(V, -1, axis=0))))
 
     @cached_property
     def _edge_lengths(self) -> np.ndarray:
         V = self._varr
-        le = vecmath.ang(V, np.roll(V, -1, axis=0))
-        le.flags.writeable = False
-        return le
+        return _frozen(vecmath.ang(V, np.roll(V, -1, axis=0)))
 
     @cached_property
     def _interior_angles(self) -> np.ndarray:
-        V = self._varr
-        tp = vecmath.unit(vecmath.reject(np.roll(V, 1, axis=0), V))
-        tn = vecmath.unit(vecmath.reject(np.roll(V, -1, axis=0), V))
-        a = vecmath.ang(tp, tn)
-        a.flags.writeable = False
-        return a
+        return _frozen(_vertex_angles(self._varr))
 
     def to_dict(self) -> dict:
         return {"vertices": [p.tolist() for p in self.vertices]}
@@ -198,25 +199,25 @@ class DiameterWitness:
         }
 
 
-def convex_hull(points: Sequence[SpherePoint]) -> SphericalPolygon:
+def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     """Spherical convex hull of at least three points in an open hemisphere.
 
-    Projects gnomonically to the tangent plane at a hemisphere center, takes
-    the planar hull there, and maps the hull ring back.  Vertices whose
-    interior angle is within EPS_ANGLE of pi (collinear survivors of the
-    planar hull) are absorbed into their edges.
+    Takes an (n, 3) array or a sequence of SpherePoints or 3-sequences, each
+    row checked as SpherePoint checks it.  Projects gnomonically to the
+    tangent plane at a hemisphere center, takes the planar hull there, and
+    maps the hull ring back.  Vertices whose interior angle is within
+    EPS_ANGLE of pi (collinear survivors of the planar hull) are absorbed
+    into their edges.
     """
-    pts = [p if isinstance(p, SpherePoint) else SpherePoint(p) for p in points]
-    if len(pts) < 3:
-        raise TooFewPoints(f"need at least 3 points, got {len(pts)}")
-    arr = np.array([p.v for p in pts])
+    arr = _as_unit_rows(points)
+    if arr.shape[0] < 3:
+        raise TooFewPoints(f"need at least 3 points, got {arr.shape[0]}")
     center = _hemisphere_center(arr)
     try:
         hull = _PlanarHull(_to_chart(center, arr))
     except QhullError as exc:
         raise DegenerateHull("points are collinear in the chart (one great circle)") from exc
-    ring = arr[hull.vertices]  # counterclockwise in the chart
-    ring = _absorb_flat_vertices(ring)
+    ring = _absorb_flat_vertices(arr[hull.vertices])  # counterclockwise in the chart
     if ring.shape[0] < 3:
         raise DegenerateHull("hull collapsed to fewer than 3 vertices")
     return SphericalPolygon(tuple(SpherePoint(v) for v in ring), SpherePoint(center))
@@ -225,15 +226,11 @@ def convex_hull(points: Sequence[SpherePoint]) -> SphericalPolygon:
 def _absorb_flat_vertices(ring: np.ndarray) -> np.ndarray:
     """Drop duplicate-adjacent vertices and vertices with interior angle pi."""
     while ring.shape[0] >= 3:
-        steps = vecmath.ang(ring, np.roll(ring, -1, axis=0))
-        keep = steps > EPS_ANTIPODE
+        keep = vecmath.ang(ring, np.roll(ring, -1, axis=0)) > EPS_ANTIPODE
         if not np.all(keep):
             ring = ring[keep]
             continue
-        tp = vecmath.unit(vecmath.reject(np.roll(ring, 1, axis=0), ring))
-        tn = vecmath.unit(vecmath.reject(np.roll(ring, -1, axis=0), ring))
-        angles = vecmath.ang(tp, tn)
-        keep = angles < math.pi - EPS_ANGLE
+        keep = _vertex_angles(ring) < math.pi - EPS_ANGLE
         if np.all(keep):
             break
         ring = ring[keep]
@@ -255,14 +252,15 @@ def extreme_points(P: SphericalPolygon) -> list[SpherePoint]:
 
 def extreme_diameter(P: SphericalPolygon) -> float:
     """Largest pairwise distance between extreme points."""
-    E = np.array([p.v for p in extreme_points(P)])
-    G = vecmath.ang(E[:, None, :], E[None, :, :])
-    return float(G.max())
+    return _farthest_pair(P._varr[P._interior_angles < math.pi - EPS_ANGLE])[2]
 
 
-def _on_arc(x: np.ndarray, a: np.ndarray, b: np.ndarray, length) -> np.ndarray:
-    """Membership of points x (already on the edge circle) in the arc a->b."""
-    return vecmath.ang(a, x) + vecmath.ang(x, b) <= length + _ARC_SLACK
+def _farthest_pair(V: np.ndarray) -> tuple[int, int, float]:
+    """Rows i < j of V at the largest distance, first in row-major order."""
+    iu, ju = np.triu_indices(V.shape[0], k=1)
+    G = vecmath.ang(V[iu], V[ju])
+    k = int(np.argmax(G))
+    return int(iu[k]), int(ju[k]), float(G[k])
 
 
 def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
@@ -270,70 +268,39 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
 
     Candidates: (a) vertex-vertex pairs; (b) for each vertex and edge the
     point of the edge circle farthest from the vertex (the antipode of the
-    perpendicular foot), kept when it lies on the edge arc; (c) for each
-    pair of edges the crossings of their common-perpendicular great circle,
-    kept when both lie on their arcs.  A pair of edges on the same great
-    circle has no common perpendicular and falls back to the other classes.
+    perpendicular foot), kept when it lies on the edge arc.
 
-    Ties between classes resolve in the order (a), (b), (c), and within a
-    class to the first pair in scan order, so the witness is deterministic.
+    No pair with both points inside edges is farthest: at a critical such
+    pair at distance D, with arclengths s, t along the two edges,
+    cos d = cos s cos t cos D + sin s sin t, whose Hessian [[-cos D, 1],
+    [1, -cos D]] has determinant cos^2 D - 1 < 0 for D in (0, pi).  It is a
+    saddle, so classes (a) and (b) hold the diameter.
+
+    Ties resolve to (a) before (b), and within a class to the first pair in
+    scan order, so the witness is deterministic.
     """
     V = P._varr
-    n = V.shape[0]
-    A = V
     B = np.roll(V, -1, axis=0)
     N = P._edge_normals
     L = P._edge_lengths
 
-    # (a) vertex-vertex
-    G = vecmath.ang(V[:, None, :], V[None, :, :])
-    iu, ju = np.triu_indices(n, k=1)
-    flat = int(np.argmax(G[iu, ju]))
-    best_val = float(G[iu[flat], ju[flat]])
-    best = (V[iu[flat]], V[ju[flat]], VERTEX_VERTEX)
+    i, j, value = _farthest_pair(V)  # (a) vertex-vertex
 
     # (b) vertex-edge: farthest point of each edge circle from each vertex
-    dots = V @ N.T  # (nv, ne)
-    W = V[:, None, :] - dots[:, :, None] * N[None, :, :]
+    W = V[:, None, :] - (V @ N.T)[:, :, None] * N[None, :, :]  # (vertex, edge, 3)
     wn = np.linalg.norm(W, axis=-1)
-    usable = wn > 1e-9  # vertex is not a pole of the edge circle
-    F = W / np.maximum(wn, 1e-300)[:, :, None]
-    far = -F
-    in_arc = usable & _on_arc(far, A[None, :, :], B[None, :, :], L[None, :])
-    if np.any(in_arc):
-        dist = np.where(in_arc, vecmath.ang(V[:, None, :], far), -1.0)
+    far = -W / np.maximum(wn, 1e-300)[:, :, None]
+    # kept where the vertex is not a pole of the edge circle and far, already
+    # on that circle, lies on the edge arc
+    on_arc = vecmath.ang(V[None, :, :], far) + vecmath.ang(far, B[None, :, :]) <= L + _ARC_SLACK
+    vi, ei = np.nonzero((wn > 1e-9) & on_arc)  # row-major, the scan order for ties
+    if vi.size:
+        dist = vecmath.ang(V[vi], far[vi, ei])
         k = int(np.argmax(dist))
-        vi, ei = divmod(k, n)
-        if float(dist[vi, ei]) > best_val:
-            best_val = float(dist[vi, ei])
-            best = (V[vi], far[vi, ei], VERTEX_EDGE)
-
-    # (c) edge-edge: crossings of the common-perpendicular circle
-    M = np.cross(N[:, None, :], N[None, :, :])
-    mn = np.linalg.norm(M, axis=-1)
-    pair_ok = (mn > 1e-12) & (np.arange(n)[:, None] < np.arange(n)[None, :])
-    Mu = M / np.maximum(mn, 1e-300)[:, :, None]
-    U1 = np.cross(N[:, None, :], Mu)  # on the first edge circle, unit by construction
-    U2 = np.cross(N[None, :, :], Mu)
-    for s1 in (1.0, -1.0):
-        p_cand = s1 * U1
-        ok1 = pair_ok & _on_arc(p_cand, A[:, None, :], B[:, None, :], L[:, None])
-        if not np.any(ok1):
-            continue
-        for s2 in (1.0, -1.0):
-            q_cand = s2 * U2
-            ok = ok1 & _on_arc(q_cand, A[None, :, :], B[None, :, :], L[None, :])
-            if not np.any(ok):
-                continue
-            dist = np.where(ok, vecmath.ang(p_cand, q_cand), -1.0)
-            k = int(np.argmax(dist))
-            ei, ej = divmod(k, n)
-            if float(dist[ei, ej]) > best_val:
-                best_val = float(dist[ei, ej])
-                best = (p_cand[ei, ej], q_cand[ei, ej], EDGE_EDGE)
-
-    p, q, kind = best
-    return DiameterWitness(p=SpherePoint(p), q=SpherePoint(q), value=best_val, attainment=kind)
+        if float(dist[k]) > value:
+            p, q = SpherePoint(V[vi[k]]), SpherePoint(far[vi[k], ei[k]])
+            return DiameterWitness(p=p, q=q, value=float(dist[k]), attainment=VERTEX_EDGE)
+    return DiameterWitness(p=SpherePoint(V[i]), q=SpherePoint(V[j]), value=value, attainment=VERTEX_VERTEX)
 
 
 def regular_triangle(side: float) -> SphericalPolygon:
@@ -417,14 +384,13 @@ def random_polygon(
         center = _random_unit(rng)
         radius = rng.uniform(*cap_radius_range)
         count = int(rng.integers(num_points_range[0], num_points_range[1] + 1))
-        pts = _sample_cap(rng, center, radius, count)
         try:
-            P = convex_hull([SpherePoint(p) for p in pts])
+            P = convex_hull(_sample_cap(rng, center, radius, count))
         except (DegenerateHull, NoHemisphere, TooFewPoints):
             continue
         w = boundary_diameter(P)
         if diameter_range[0] < w.value < diameter_range[1]:
             return P, w
-    raise RuntimeError(
+    raise SamplingExhausted(
         f"no polygon with diameter in {diameter_range} after {max_attempts} attempts"
     )

@@ -16,6 +16,15 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Cross product of ndarrays along the last axis, broadcasting like
+    np.cross and bit-identical to it (same products and differences),
+    without its axis-handling overhead."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    return np.stack((u1 * w2 - u2 * w1, u2 * w0 - u0 * w2, u0 * w1 - u1 * w0), axis=-1)
+
+
 def ang(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Angle in [0, pi] between unit vectors, accurate near 0 and pi.
 
@@ -24,8 +33,7 @@ def ang(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    c = np.cross(u, w)
-    s = np.linalg.norm(c, axis=-1)
+    s = np.linalg.norm(cross(u, w), axis=-1)
     d = np.sum(u * w, axis=-1)
     return np.arctan2(s, d)
 

@@ -97,6 +97,38 @@ def oracle_diameter(P, total=320, top_k=5):
     return best
 
 
+def edge_edge_candidates(P, slack=1e-10):
+    """Distances of all edge-edge critical pairs of the polygon.
+
+    For each pair of edges, the two crossings of their common-perpendicular
+    great circle with each edge circle, kept when both lie on their arcs.
+    This is the candidate class boundary_diameter no longer enumerates: such
+    a pair is a saddle of the distance, so it never exceeds the diameter.
+    """
+    V = vertex_array(P)
+    B = np.roll(V, -1, axis=0)
+    N = np.cross(V, B)
+    N /= np.linalg.norm(N, axis=1, keepdims=True)
+    lengths = sphere_angle(V, B)
+    i, j = np.triu_indices(len(V), k=1)
+    M = np.cross(N[i], N[j])
+    mn = np.linalg.norm(M, axis=1)
+    ok = mn > 1e-12  # edges on one great circle have no common perpendicular
+    i, j, M = i[ok], j[ok], M[ok] / mn[ok, None]
+    U1 = np.cross(N[i], M)
+    U2 = np.cross(N[j], M)
+
+    def on_arc(x, e):
+        return sphere_angle(V[e], x) + sphere_angle(x, B[e]) <= lengths[e] + slack
+
+    vals = []
+    for p in (U1, -U1):
+        for q in (U2, -U2):
+            keep = on_arc(p, i) & on_arc(q, j)
+            vals.append(sphere_angle(p[keep], q[keep]))
+    return np.concatenate(vals)
+
+
 def chart_contains(P, p, tol=1e-9):
     """Planar point-in-convex-polygon test in the tangent chart at the
     polygon's hemisphere center (an independent inside test)."""

@@ -12,6 +12,7 @@ from sphereconvex import (
     GeodesicArc,
     InvalidPolygon,
     NoHemisphere,
+    SamplingExhausted,
     SpherePoint,
     SphericalPolygon,
     TooFewPoints,
@@ -30,7 +31,14 @@ from sphereconvex import (
     wide_trial,
     phi,
 )
-from support import chart_contains, on_boundary, oracle_diameter, sampled_diameter, sphere_angle
+from support import (
+    chart_contains,
+    edge_edge_candidates,
+    on_boundary,
+    oracle_diameter,
+    sampled_diameter,
+    sphere_angle,
+)
 from strategies import rotate, rotations
 
 OCTANT = [SpherePoint((1, 0, 0)), SpherePoint((0, 1, 0)), SpherePoint((0, 0, 1))]
@@ -49,6 +57,15 @@ def cap_points(seed, count, radius, center=(0.0, 0.0, 1.0)):
     st_ = np.sqrt(1.0 - z**2)
     pts = st_[:, None] * np.cos(az)[:, None] * e1 + st_[:, None] * np.sin(az)[:, None] * e2 + z[:, None] * center
     return [SpherePoint(p) for p in pts]
+
+
+def near_circle_points(seed, count, radius, jitter=1e-4):
+    """Points just inside the circle of the given radius about (0, 0, 1);
+    nearly all of them are hull vertices."""
+    rng = np.random.default_rng(seed)
+    az = rng.uniform(0.0, 2.0 * math.pi, count)
+    theta = radius * (1.0 - jitter * rng.uniform(size=count))
+    return np.stack([np.sin(theta) * np.cos(az), np.sin(theta) * np.sin(az), np.cos(theta)], axis=-1)
 
 
 def spherical_square(colat=0.8):
@@ -98,8 +115,32 @@ class TestConvexHull:
         assert pv == qv
 
     def test_too_few_points(self):
-        with pytest.raises(TooFewPoints):
-            convex_hull(OCTANT[:2])
+        for points in (OCTANT[:2], np.eye(3)[:2], []):
+            with pytest.raises(TooFewPoints):
+                convex_hull(points)
+
+    def test_array_input_matches_points(self):
+        unit = np.array([p.v for p in cap_points(12, 40, 1.2)])
+        raw = np.array([[2.0, 0.1, 0.3], [0.2, 3.0, 0.1], [0.1, 0.2, 0.5], [1.0, 1.0, 1.0]])
+        for arr in (unit, raw):
+            P = convex_hull(arr)
+            Q = convex_hull([SpherePoint(v) for v in arr])
+            assert np.array_equal(P._varr, Q._varr)
+            assert np.array_equal(P.hemisphere_center.v, Q.hemisphere_center.v)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [np.nan, 0.0, 1.0]]),
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+            np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]),
+            [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0)],
+        ],
+        ids=["nan-row", "zero-row", "n-by-2", "ragged"],
+    )
+    def test_malformed_rows_rejected(self, points):
+        with pytest.raises(DomainError):
+            convex_hull(points)
 
     def test_no_hemisphere(self):
         pts = OCTANT + [antipode(p) for p in OCTANT]
@@ -257,12 +298,33 @@ class TestBoundaryDiameter:
             P, w = random_polygon(7, idx)
             assert w.value >= extreme_diameter(P) - 1e-12
 
+    @pytest.mark.parametrize("count, radius", [(70, 0.9), (130, 1.2), (180, 1.4), (190, 1.5)])
+    def test_edge_edge_pairs_never_beat_diameter(self, count, radius):
+        # each edge-edge critical pair is a saddle of the distance; pin that
+        # on near-circular hulls, where the class has the most candidates,
+        # and on random trials
+        P = convex_hull(near_circle_points(count, count, radius))
+        assert 60 <= len(P.vertices) <= 150
+        polys = [P] + [random_polygon(7, idx, stream=count)[0] for idx in range(25)]
+        found = 0
+        for Q in polys:
+            cand = edge_edge_candidates(Q)
+            found += cand.size
+            assert np.all(cand <= boundary_diameter(Q).value + 1e-12)
+        assert found > 0
+
     def test_witness_points_on_boundary(self):
         for idx in range(10):
             P, w = random_polygon(31, idx)
             assert on_boundary(P, w.p)
             assert on_boundary(P, w.q)
             assert distance(w.p, w.q) == pytest.approx(w.value, abs=1e-12)
+
+
+class TestRandomPolygon:
+    def test_exhaustion_raises_library_error(self):
+        with pytest.raises(SamplingExhausted, match="after 3 attempts"):
+            random_polygon(1, 0, diameter_range=(3.2, 3.3), max_attempts=3)
 
 
 class TestRegularTriangle:
