@@ -34,7 +34,7 @@ from .campaign import (
     tightness_grid,
 )
 from .core import distance
-from .errors import SphereGeometryError
+from .errors import ConfigError, InvalidPolygon, SphereGeometryError
 from .lune import construct_lune, equilateral_points, min_sampled_distance
 from .polygon import SphericalPolygon, boundary_diameter, extreme_diameter, extreme_points
 from .quad import check_identities, phi, phi_inverse_delta, solve_quad
@@ -44,7 +44,11 @@ SEED_ENV_VAR = "SPHERECONVEX_SEED"
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "42"))
+    raw = os.environ.get(SEED_ENV_VAR, "42")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -65,13 +69,17 @@ def _emit_rows(rows: list[dict], as_json: bool) -> None:
 
 def _load_polygon(path: str) -> SphericalPolygon:
     with open(path, "r", encoding="utf-8") as fh:
-        return SphericalPolygon.from_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidPolygon(f"{path} is not a JSON file: {exc}") from exc
+    return SphericalPolygon.from_dict(obj)
 
 
 def _cmd_verify(args) -> int:
     fmt = "json" if args.json else ("csv" if args.csv else "text")
     config = CampaignConfig(
-        seed=args.seed,
+        seed=_default_seed() if args.seed is None else args.seed,
         trials=args.trials,
         delta_grid=DeltaGrid(lo=args.delta_min, hi=args.delta_max, steps=args.delta_steps),
         tolerance=args.tol,
@@ -196,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the verification campaign")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 42")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--delta-min", type=float, default=math.pi / 2 + 1e-3)

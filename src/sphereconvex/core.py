@@ -5,7 +5,7 @@ everything here is safe to share between threads.  Distances and angles are
 in radians throughout.
 
 The vectors behind the values (``SpherePoint.v``, ``GreatCircle.n``, and the
-cached arrays of ``SphericalPolygon``) are read-only ndarrays.  Code that
+vertex and cached arrays of ``SphericalPolygon``) are read-only ndarrays.  Code that
 passes one to a routine that needs a writeable buffer, such as scipy 1.17's
 ``Rotation.apply``, must pass a copy: ``np.array(p.v)``.
 """
@@ -155,7 +155,7 @@ class Semicircle:
 
     @cached_property
     def endpoints(self) -> tuple[SpherePoint, SpherePoint]:
-        e = vecmath.unit(np.cross(self.circle.n, self.center.v))
+        e = vecmath.unit(vecmath.cross(self.circle.n, self.center.v))
         return SpherePoint(e), SpherePoint(-e)
 
     def contains(self, p: SpherePoint, tol: float = EPS_ON) -> bool:
@@ -180,7 +180,7 @@ def great_circle_through(p: SpherePoint, q: SpherePoint) -> GreatCircle:
     d = distance(p, q)
     if d <= EPS_ANTIPODE or d >= math.pi - EPS_ANTIPODE:
         raise DegeneratePair("points are equal or antipodal; the great circle is not unique")
-    return GreatCircle(np.cross(p.v, q.v))
+    return GreatCircle(vecmath.cross(p.v, q.v))
 
 
 def arc_point(arc: GeodesicArc, t: float) -> SpherePoint:

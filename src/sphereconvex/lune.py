@@ -48,7 +48,7 @@ class Lune:
     corners: tuple[SpherePoint, SpherePoint]
 
     def __post_init__(self):
-        cross = np.cross(self.side_a.circle.n, self.side_b.circle.n)
+        cross = vecmath.cross(self.side_a.circle.n, self.side_b.circle.n)
         if float(np.linalg.norm(cross)) < 1e-9:
             raise DomainError("bounding circles coincide or are opposite; not a lune")
         for corner in self.corners:
@@ -77,8 +77,8 @@ def construct_lune(delta: float) -> Lune:
     center_a = SpherePoint((math.cos(half), 0.0, math.sin(half)))
     center_b = SpherePoint((math.cos(half), 0.0, -math.sin(half)))
     corners = (SpherePoint((0.0, 1.0, 0.0)), SpherePoint((0.0, -1.0, 0.0)))
-    side_a = Semicircle(GreatCircle(np.cross(corners[0].v, center_a.v)), center_a)
-    side_b = Semicircle(GreatCircle(np.cross(corners[0].v, center_b.v)), center_b)
+    side_a = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_a.v)), center_a)
+    side_b = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_b.v)), center_b)
     return Lune(side_a=side_a, side_b=side_b, corners=corners)
 
 

@@ -115,7 +115,7 @@ def _vertex_angles(V: np.ndarray) -> np.ndarray:
     return vecmath.ang(tp, tn)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SphericalPolygon:
     """Ordered vertex cycle of a convex spherical polygon.
 
@@ -123,17 +123,23 @@ class SphericalPolygon:
     hemisphere_center; every vertex lies strictly inside that open
     hemisphere.  Interior angles may equal pi (a vertex sitting on the arc
     between its neighbours); such vertices are valid but not extreme.
+
+    Takes the vertices as an (n, 3) array or a sequence of SpherePoints or
+    3-sequences, each row checked as SpherePoint checks it, and keeps them as
+    a read-only (n, 3) array; `vertices` wraps its rows in SpherePoints on
+    first access.
     """
 
-    vertices: tuple[SpherePoint, ...]
+    _varr: np.ndarray
     hemisphere_center: SpherePoint
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if len(self.vertices) < 3:
+    def __init__(self, vertices: np.ndarray | Sequence[SpherePoint], hemisphere_center: SpherePoint):
+        V = _frozen(_as_unit_rows(vertices))
+        object.__setattr__(self, "_varr", V)
+        object.__setattr__(self, "hemisphere_center", hemisphere_center)
+        if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
-        V = self._varr
-        c = self.hemisphere_center.v
+        c = hemisphere_center.v
         if float(np.min(V @ c)) <= EPS_HEMI:
             raise InvalidPolygon("a vertex is not strictly inside the open hemisphere")
         if np.any(self._edge_lengths <= EPS_ANTIPODE) or np.any(self._edge_lengths >= math.pi - EPS_ANTIPODE):
@@ -152,8 +158,8 @@ class SphericalPolygon:
             raise InvalidPolygon("zero interior angle")
 
     @cached_property
-    def _varr(self) -> np.ndarray:
-        return _frozen(np.array([p.v for p in self.vertices]))
+    def vertices(self) -> tuple[SpherePoint, ...]:
+        return tuple(SpherePoint(v) for v in self._varr)
 
     @cached_property
     def _edge_normals(self) -> np.ndarray:
@@ -172,13 +178,20 @@ class SphericalPolygon:
         return _frozen(_vertex_angles(self._varr))
 
     def to_dict(self) -> dict:
-        return {"vertices": [p.tolist() for p in self.vertices]}
+        return {"vertices": self._varr.tolist()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SphericalPolygon":
-        verts = [SpherePoint.from_json(v) for v in obj["vertices"]]
-        center = _hemisphere_center(np.array([p.v for p in verts]))
-        return cls(tuple(verts), SpherePoint(center))
+        """Polygon from {"vertices": [...]}, each vertex [x, y, z] or
+        {"lon_deg": ..., "lat_deg": ...}; raises InvalidPolygon on any other
+        shape of data."""
+        try:
+            V = _as_unit_rows([SpherePoint.from_json(v) for v in obj["vertices"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidPolygon(f"malformed polygon data: {type(exc).__name__}: {exc}") from exc
+        if V.shape[0] < 3:
+            raise InvalidPolygon("a polygon needs at least 3 vertices")
+        return cls(V, SpherePoint(_hemisphere_center(V)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,7 +233,7 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     ring = _absorb_flat_vertices(arr[hull.vertices])  # counterclockwise in the chart
     if ring.shape[0] < 3:
         raise DegenerateHull("hull collapsed to fewer than 3 vertices")
-    return SphericalPolygon(tuple(SpherePoint(v) for v in ring), SpherePoint(center))
+    return SphericalPolygon(ring, SpherePoint(center))
 
 
 def _absorb_flat_vertices(ring: np.ndarray) -> np.ndarray:
@@ -317,9 +330,8 @@ def regular_triangle(side: float) -> SphericalPolygon:
         raise DomainError(f"side={side} too long for a hemisphere-contained regular triangle")
     ct = math.sqrt(q)
     st = math.sqrt(1.0 - q)
-    verts = tuple(
-        SpherePoint((st * math.cos(2.0 * math.pi * k / 3.0), st * math.sin(2.0 * math.pi * k / 3.0), ct))
-        for k in range(3)
+    verts = np.array(
+        [(st * math.cos(2.0 * math.pi * k / 3.0), st * math.sin(2.0 * math.pi * k / 3.0), ct) for k in range(3)]
     )
     return SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
 

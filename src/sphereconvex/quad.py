@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SpherePoint, angle_at, distance
+from . import vecmath
 from .errors import DomainError, NoIntersection
 
 # Inputs closer than this to the degenerate strip (kappa or lam == 0) are
@@ -171,7 +172,7 @@ def construct_quad(kappa: float, lam: float) -> QuadEmbedding:
     # unit tangents of those sides at a and c.
     n_a = np.array([math.sin(kappa), 0.0, -math.cos(kappa)])
     n_c = np.array([math.sin(lam), -math.cos(lam), 0.0])
-    w = np.cross(n_c, n_a)
+    w = vecmath.cross(n_c, n_a)
     norm = float(np.linalg.norm(w))
     if norm < 1e-12:
         raise NoIntersection("perpendiculars at a and c are coplanar")

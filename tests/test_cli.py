@@ -141,6 +141,20 @@ class TestPolygonCommands:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"verts": []}', '{"vertices": 5}', '{"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]}', "not json"],
+        ids=["no-vertices-key", "vertices-not-a-list", "non-numeric-coordinate", "not-json"],
+    )
+    def test_malformed_polygon_file(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for command in ("diam", "extreme"):
+            code, out, err = run_cli(capsys, command, "--in", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+
 
 class TestCurveCommands:
     def test_phi_curve_csv_format(self, capsys):
@@ -214,6 +228,16 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--delta-steps", "4", "--json")
         assert code == 0
         assert json.loads(out)["config"]["seed"] == 99
+
+    def test_malformed_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPHERECONVEX_SEED", "abc")
+        code, out, err = run_cli(capsys, "verify", "--trials", "5", "--delta-steps", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "SPHERECONVEX_SEED" in err
+        # only a verify run without --seed reads the variable
+        assert run_cli(capsys, *self.args)[0] == 0
+        assert run_cli(capsys, "phi", "--delta", "2.0")[0] == 0
 
 
 def test_module_entry_point_subprocess():

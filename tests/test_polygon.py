@@ -119,14 +119,35 @@ class TestConvexHull:
             with pytest.raises(TooFewPoints):
                 convex_hull(points)
 
-    def test_array_input_matches_points(self):
+    def test_array_input_matches_points(self, monkeypatch):
         unit = np.array([p.v for p in cap_points(12, 40, 1.2)])
         raw = np.array([[2.0, 0.1, 0.3], [0.2, 3.0, 0.1], [0.1, 0.2, 0.5], [1.0, 1.0, 1.0]])
+        created = []
+        post_init = SpherePoint.__post_init__
+
+        def counted_post_init(p):
+            created.append(p)
+            post_init(p)
+
+        monkeypatch.setattr(SpherePoint, "__post_init__", counted_post_init)
         for arr in (unit, raw):
+            created.clear()
             P = convex_hull(arr)
+            assert created == [P.hemisphere_center]  # the hull ring stays an array
             Q = convex_hull([SpherePoint(v) for v in arr])
             assert np.array_equal(P._varr, Q._varr)
             assert np.array_equal(P.hemisphere_center.v, Q.hemisphere_center.v)
+            # the constructor gives one polygon for an array and for the
+            # tuple of its points, and keeps a read-only copy of either
+            V = np.array(P._varr)
+            polys = [SphericalPolygon(V, P.hemisphere_center), SphericalPolygon(P.vertices, P.hemisphere_center)]
+            V[0] = V[1]
+            for R in polys:
+                assert np.array_equal(R._varr, P._varr)
+                assert np.array_equal(np.array([p.v for p in R.vertices]), P._varr)
+                assert not R._varr.flags.writeable
+                with pytest.raises(ValueError):
+                    R._varr[0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "points",
@@ -164,29 +185,38 @@ class TestConvexHull:
             assert contains(P, p)
 
 
+def as_points_and_array(points):
+    """The vertex tuple and its (n, 3) array: the constructor's two inputs."""
+    points = tuple(points)
+    return points, np.array([p.v for p in points])
+
+
 class TestPolygonValidation:
     def test_clockwise_rejected(self):
-        with pytest.raises(InvalidPolygon):
-            SphericalPolygon(tuple(reversed(OCTANT)), SpherePoint((1.0, 1.0, 1.0)))
+        for verts in as_points_and_array(reversed(OCTANT)):
+            with pytest.raises(InvalidPolygon):
+                SphericalPolygon(verts, SpherePoint((1.0, 1.0, 1.0)))
 
     def test_nonconvex_order_rejected(self):
         v = spherical_square()
-        shuffled = (v[0], v[2], v[1], v[3])
-        with pytest.raises(InvalidPolygon):
-            SphericalPolygon(shuffled, SpherePoint((0.0, 0.0, 1.0)))
+        for verts in as_points_and_array((v[0], v[2], v[1], v[3])):
+            with pytest.raises(InvalidPolygon):
+                SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
 
     def test_duplicate_vertex_rejected(self):
-        with pytest.raises(InvalidPolygon):
-            SphericalPolygon((OCTANT[0], OCTANT[0], OCTANT[1], OCTANT[2]), SpherePoint((1.0, 1.0, 1.0)))
+        for verts in as_points_and_array((OCTANT[0], OCTANT[0], OCTANT[1], OCTANT[2])):
+            with pytest.raises(InvalidPolygon):
+                SphericalPolygon(verts, SpherePoint((1.0, 1.0, 1.0)))
 
     def test_vertex_outside_hemisphere_rejected(self):
-        v = spherical_square()
-        with pytest.raises(InvalidPolygon):
-            SphericalPolygon(tuple(v), SpherePoint((0.0, 0.0, -1.0)))
+        for verts in as_points_and_array(spherical_square()):
+            with pytest.raises(InvalidPolygon):
+                SphericalPolygon(verts, SpherePoint((0.0, 0.0, -1.0)))
 
     def test_too_few_vertices(self):
-        with pytest.raises(InvalidPolygon):
-            SphericalPolygon((OCTANT[0], OCTANT[1]), SpherePoint((1.0, 1.0, 1.0)))
+        for verts in as_points_and_array((OCTANT[0], OCTANT[1])):
+            with pytest.raises(InvalidPolygon):
+                SphericalPolygon(verts, SpherePoint((1.0, 1.0, 1.0)))
 
     def test_flat_vertex_allowed(self):
         P = square_with_collinear_vertex()
