@@ -5,7 +5,9 @@ geometric cross-validation, and seeded Monte Carlo over random convex
 polygons) and assembles a machine-readable report.  Every check reports a
 margin with the convention that larger is better and the check passes when
 min_margin >= -tolerance: identity checks use the negated worst residual,
-inequality checks use the worst raw slack.
+inequality checks use the worst raw slack.  One reducer, `_check`, turns a
+check's per-case margins into its result; ties go to the first case in scan
+order.
 
 Reports are deterministic for a given configuration: random trials draw from
 PCG64 streams keyed by (seed, stream, trial index), so any worst case can be
@@ -17,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -60,7 +62,7 @@ class DeltaGrid:
         return np.linspace(self.lo, self.hi, self.steps)
 
     def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "steps": self.steps}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,7 @@ class CampaignConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "delta_grid": self.delta_grid.to_dict(),
-            "tolerance": self.tolerance,
-            "output_format": self.output_format,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -200,148 +196,28 @@ def small_trial(seed: int, index: int) -> tuple[SphericalPolygon, float, float]:
     return P, w.value, extreme_diameter(P)
 
 
-def _result(name: str, instances: int, min_margin: float, payload: dict, tolerance: float) -> CheckResult:
-    return CheckResult(
-        name=name,
-        instances=instances,
-        min_margin=min_margin,
-        worst_case_payload=payload,
-        passed=bool(min_margin >= -tolerance),
-    )
-
-
-def _check_phi_monotonic(grid: np.ndarray, tol: float) -> CheckResult:
-    vals = np.array([phi(d) for d in grid])
-    diffs = np.diff(vals)
-    k = int(np.argmin(diffs))
-    return _result(
-        "phi_monotonic", len(grid) - 1, float(diffs[k]),
-        {"delta_lo": float(grid[k]), "delta_hi": float(grid[k + 1])}, tol,
-    )
-
-
-def _check_phi_range(grid: np.ndarray, tol: float) -> CheckResult:
-    vals = np.array([phi(d) for d in grid])
-    margins = np.minimum(vals - math.pi / 4, math.pi / 3 - vals)
+def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], tol: float) -> CheckResult:
+    """A check's result from its per-case margins; the worst case k is the first smallest one."""
+    margins = np.asarray(margins, dtype=float)
     k = int(np.argmin(margins))
-    return _result("phi_range", len(grid), float(margins[k]), {"delta": float(grid[k])}, tol)
+    min_margin = float(margins[k])
+    return CheckResult(name, len(margins), min_margin, payload(k), min_margin >= -tol)
 
 
-def _check_phi_roundtrip(grid: np.ndarray, tol: float) -> CheckResult:
-    errs = np.array([abs(phi_inverse_delta(phi(d)) - d) for d in grid])
-    k = int(np.argmax(errs))
-    return _result("phi_inverse_roundtrip", len(grid), -float(errs[k]), {"delta": float(grid[k])}, tol)
+def _quad_error(kappa: float, lam: float) -> float:
+    """Worst gap between the closed-form quad and its embedding, identity residuals included."""
+    sol = solve_quad(kappa, lam)
+    meas = construct_quad(kappa, lam).measured()
+    return max(abs(sol.mu - meas.mu), abs(sol.nu - meas.nu), abs(sol.xi - meas.xi), *check_identities(meas))
 
 
-def _check_thickness_gap(grid: np.ndarray, tol: float) -> CheckResult:
-    gaps = np.array([d - 2.0 * phi(d) for d in grid])
-    k = int(np.argmin(gaps))
-    return _result("thickness_gap", len(grid), float(gaps[k]), {"delta": float(grid[k])}, tol)
-
-
-def _check_quad(tol: float) -> CheckResult:
-    sides = np.linspace(*QUAD_GRID_RANGE, QUAD_GRID_STEPS)
-    worst = -1.0
-    payload: dict = {}
-    for kappa in sides:
-        for lam in sides:
-            sol = solve_quad(float(kappa), float(lam))
-            meas = construct_quad(float(kappa), float(lam)).measured()
-            err = max(
-                abs(sol.mu - meas.mu),
-                abs(sol.nu - meas.nu),
-                abs(sol.xi - meas.xi),
-                *check_identities(meas),
-            )
-            if err > worst:
-                worst = err
-                payload = {"kappa": float(kappa), "lambda": float(lam)}
-    return _result("quad_closed_form_vs_embedding", QUAD_GRID_STEPS**2, -worst, payload, tol)
-
-
-def _check_lune_equilateral(grid: np.ndarray, tol: float) -> CheckResult:
-    worst = -1.0
-    payload: dict = {}
-    for d in grid:
-        lune = construct_lune(float(d))
-        i, j = equilateral_points(lune)
-        apex = lune.side_b.center
-        target = 2.0 * phi(float(d))
-        err = max(
-            abs(distance(i, apex) - target),
-            abs(distance(j, apex) - target),
-            abs(distance(i, j) - target),
-        )
-        if err > worst:
-            worst = err
-            payload = {"delta": float(d)}
-    return _result("lune_equilateral_triangle", len(grid), -worst, payload, tol)
-
-
-def _check_lune_clearance(grid: np.ndarray, tol: float) -> CheckResult:
-    worst = math.inf
-    payload: dict = {}
-    for d in grid:
-        lune = construct_lune(float(d))
-        margin = min_sampled_distance(lune, LUNE_SAMPLES, LUNE_SAMPLES) - 2.0 * phi(float(d))
-        if margin < worst:
-            worst = margin
-            payload = {"delta": float(d), "samples": LUNE_SAMPLES}
-    return _result("lune_orthogonal_drop_clearance", len(grid), worst, payload, tol)
-
-
-def _run_monte_carlo(seed: int, trials: int, tol: float) -> tuple[CheckResult, float, dict]:
-    """Wide-diameter Monte Carlo; also returns the worst diameter ratio."""
-    worst_margin = math.inf
-    worst_payload: dict = {}
-    worst_ratio = math.inf
-    worst_ratio_payload: dict = {}
-    for index in range(trials):
-        t = wide_trial(seed, index)
-        if t.margin < worst_margin:
-            worst_margin = t.margin
-            worst_payload = {
-                "seed": seed,
-                "stream": STREAM_WIDE,
-                "trial": index,
-                "diameter": t.witness.value,
-                "extreme_diameter": t.extreme_diam,
-                "margin": t.margin,
-                "vertices": len(t.polygon.vertices),
-            }
-        if t.ratio < worst_ratio:
-            worst_ratio = t.ratio
-            worst_ratio_payload = {
-                "seed": seed,
-                "stream": STREAM_WIDE,
-                "trial": index,
-                "ratio": t.ratio,
-            }
-    check = _result("extreme_diameter_lower_bound_mc", trials, worst_margin, worst_payload, tol)
-    return check, worst_ratio, worst_ratio_payload
-
-
-def _check_ratio(grid: np.ndarray, mc_ratio: float, mc_payload: dict, trials: int, tol: float) -> CheckResult:
-    worst = mc_ratio - 2.0 / 3.0
-    payload = dict(mc_payload)
-    for row in tightness_table(grid):
-        margin = row["ratio"] - 2.0 / 3.0
-        if margin < worst:
-            worst = margin
-            payload = {"delta": row["delta"], "ratio": row["ratio"], "family": "regular-triangle"}
-    return _result("extreme_to_full_diameter_ratio", trials + len(grid), worst, payload, tol)
-
-
-def _check_small_diameter(seed: int, trials: int, tol: float) -> CheckResult:
-    worst = -1.0
-    payload: dict = {}
-    for index in range(trials):
-        _, bd, ed = small_trial(seed, index)
-        err = abs(bd - ed)
-        if err > worst:
-            worst = err
-            payload = {"seed": seed, "stream": STREAM_SMALL, "trial": index, "diameter": bd}
-    return _result("small_diameter_extreme_equality", trials, -worst, payload, tol)
+def _equilateral_error(delta: float) -> float:
+    """Worst deviation of the lune's inscribed triangle from side 2*phi(delta)."""
+    lune = construct_lune(delta)
+    i, j = equilateral_points(lune)
+    apex = lune.side_b.center
+    target = 2.0 * phi(delta)
+    return max(abs(distance(i, apex) - target), abs(distance(j, apex) - target), abs(distance(i, j) - target))
 
 
 def run_verify(config: CampaignConfig) -> CampaignReport:
@@ -352,44 +228,100 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     """
     config.validate()
     t0 = time.perf_counter()
+    seed, trials, tol = config.seed, config.trials, config.tolerance
     grid = config.delta_grid.values()
-    tol = config.tolerance
-
-    checks = [
-        _check_phi_monotonic(grid, tol),
-        _check_phi_range(grid, tol),
-        _check_phi_roundtrip(grid, tol),
-        _check_thickness_gap(grid, tol),
-        _check_quad(tol),
-        _check_lune_equilateral(grid, tol),
-        _check_lune_clearance(grid, tol),
-    ]
-    mc_check, worst_ratio, ratio_payload = _run_monte_carlo(config.seed, config.trials, tol)
-    checks.append(mc_check)
-    checks.append(_check_ratio(grid, worst_ratio, ratio_payload, config.trials, tol))
+    deltas = [float(d) for d in grid]
+    phis = np.array([phi(d) for d in deltas])
+    sides = [float(s) for s in np.linspace(*QUAD_GRID_RANGE, QUAD_GRID_STEPS)]
+    quads = [(kappa, lam) for kappa in sides for lam in sides]
+    # Sampled before the trials grow the heap, so its large temporaries do not add to the peak.
+    clearance = np.array([min_sampled_distance(construct_lune(d), LUNE_SAMPLES, LUNE_SAMPLES) for d in deltas])
+    # Per-trial scalars only, so no polygon outlives its trial.
+    wide = np.empty((trials, 5))
+    for index in range(trials):
+        t = wide_trial(seed, index)
+        wide[index] = (t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0])
+    margin, ratio, diam, ext, nverts = wide.T
+    table = tightness_table(grid)
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
-    small_trials = min(1000, 10 * config.trials)
-    checks.append(_check_small_diameter(config.seed, small_trials, tol))
+    small = [small_trial(seed, index)[1:] for index in range(min(1000, 10 * trials))]
 
-    overall = all(c.passed for c in checks)
+    def at_delta(k: int) -> dict:
+        return {"delta": deltas[k]}
+
+    def trial(stream: int, k: int, **scalars) -> dict:
+        return {"seed": seed, "stream": stream, "trial": k, **scalars}
+
+    def ratio_case(k: int) -> dict:
+        if k < trials:
+            return trial(STREAM_WIDE, k, ratio=float(ratio[k]))
+        row = table[k - trials]
+        return {"delta": row["delta"], "ratio": row["ratio"], "family": "regular-triangle"}
+
+    checks = [
+        _check("phi_monotonic", np.diff(phis), lambda k: {"delta_lo": deltas[k], "delta_hi": deltas[k + 1]}, tol),
+        _check("phi_range", np.minimum(phis - math.pi / 4, math.pi / 3 - phis), at_delta, tol),
+        _check(
+            "phi_inverse_roundtrip", [-abs(phi_inverse_delta(p) - d) for p, d in zip(phis, deltas)], at_delta, tol
+        ),
+        _check("thickness_gap", grid - 2.0 * phis, at_delta, tol),
+        _check(
+            "quad_closed_form_vs_embedding",
+            [-_quad_error(kappa, lam) for kappa, lam in quads],
+            lambda k: {"kappa": quads[k][0], "lambda": quads[k][1]},
+            tol,
+        ),
+        _check("lune_equilateral_triangle", [-_equilateral_error(d) for d in deltas], at_delta, tol),
+        _check(
+            "lune_orthogonal_drop_clearance",
+            clearance - 2.0 * phis,
+            lambda k: {"delta": deltas[k], "samples": LUNE_SAMPLES},
+            tol,
+        ),
+        _check(
+            "extreme_diameter_lower_bound_mc",
+            margin,
+            lambda k: trial(
+                STREAM_WIDE, k, diameter=float(diam[k]), extreme_diameter=float(ext[k]),
+                margin=float(margin[k]), vertices=int(nverts[k]),
+            ),
+            tol,
+        ),
+        _check(
+            "extreme_to_full_diameter_ratio",
+            np.concatenate([ratio, [row["ratio"] for row in table]]) - 2.0 / 3.0,
+            ratio_case,
+            tol,
+        ),
+        _check(
+            "small_diameter_extreme_equality",
+            [-abs(bd - ed) for bd, ed in small],
+            lambda k: trial(STREAM_SMALL, k, diameter=float(small[k][0])),
+            tol,
+        ),
+    ]
     return CampaignReport(
         config=config,
         checks=tuple(checks),
-        overall_pass=overall,
+        overall_pass=all(c.passed for c in checks),
         wall_time_s=time.perf_counter() - t0,
     )
 
 
-def phi_curve(steps: int) -> list[dict]:
-    """Rows (delta, phi, 2*phi, gap) on an interior grid of (pi/2, pi)."""
+def _interior_grid(steps: int) -> np.ndarray:
+    """`steps` evenly spaced values strictly inside (pi/2, pi)."""
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
-    grid = np.linspace(math.pi / 2, math.pi, steps + 2)[1:-1]
+    return np.linspace(math.pi / 2, math.pi, steps + 2)[1:-1]
+
+
+def phi_curve(steps: int) -> list[dict]:
+    """Rows (delta, phi, 2*phi, gap) on an interior grid of (pi/2, pi)."""
     rows = []
-    for d in grid:
-        p = phi(float(d))
-        rows.append({"delta": float(d), "phi": p, "two_phi": 2.0 * p, "gap": float(d) - 2.0 * p})
+    for d in map(float, _interior_grid(steps)):
+        p = phi(d)
+        rows.append({"delta": d, "phi": p, "two_phi": 2.0 * p, "gap": d - 2.0 * p})
     return rows
 
 
@@ -421,6 +353,4 @@ def tightness_table(deltas: Iterable[float]) -> list[dict]:
 
 def tightness_grid(steps: int) -> list[dict]:
     """`tightness_table` over an interior grid of (pi/2, pi)."""
-    if steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {steps}")
-    return tightness_table(np.linspace(math.pi / 2, math.pi, steps + 2)[1:-1])
+    return tightness_table(_interior_grid(steps))

@@ -86,16 +86,14 @@ def _cmd_verify(args) -> int:
         output_format=fmt,
     )
     report = run_verify(config)
-    if fmt == "json":
-        text = report.to_json()
-    elif fmt == "csv":
+    if fmt == "csv":
         text = _rows_to_csv(report.csv_rows())
     else:
-        text = report.to_text() + "\n"
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        text = (report.to_json() if fmt == "json" else report.to_text()) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     return 0 if report.overall_pass else 1
 
 
@@ -137,6 +135,8 @@ def _cmd_quad(args) -> int:
 def _cmd_lune(args) -> int:
     lune = construct_lune(args.delta)
     ph = phi(args.delta)
+    # Validates the sample count before the chord is sampled below.
+    min_kl = min_sampled_distance(lune, args.samples, args.samples)
     i, j = equilateral_points(lune)
     apex = lune.side_b.center
     sides = [distance(i, j), distance(i, apex), distance(j, apex)]
@@ -144,7 +144,6 @@ def _cmd_lune(args) -> int:
     t = np.linspace(0.0, 1.0, args.samples)
     chord = vecmath.slerp(i.v, j.v, t)
     min_kh = float(vecmath.ang(chord, apex.v).min())
-    min_kl = min_sampled_distance(lune, args.samples, args.samples)
     payload = {
         "thickness": args.delta,
         "half_side": ph,
@@ -263,10 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SphereGeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SphereGeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

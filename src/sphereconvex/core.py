@@ -42,7 +42,10 @@ def _as_unit_vector(v) -> np.ndarray:
         raise DomainError(f"expected a 3-vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise DomainError("vector has non-finite coordinates")
-    n = float(np.linalg.norm(w))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(w))
+    if not math.isfinite(n):
+        raise DomainError("vector norm overflows float64; it cannot be normalized")
     if n < 1e-8:
         raise DomainError("vector is too close to zero to normalize")
     if abs(n - 1.0) > EPS_UNIT:
@@ -66,8 +69,9 @@ def _as_unit_rows(points) -> np.ndarray:
         arr = np.array(points, dtype=float)
     except ValueError:  # ragged or non-numeric rows: the row checks say which
         arr = np.empty(0)
-    if arr.shape[1:] == (3,) and np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 0.5 * EPS_UNIT):
-        return arr
+    with np.errstate(over="ignore"):  # an overflowing norm fails the test; its row check raises
+        if arr.shape[1:] == (3,) and np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 0.5 * EPS_UNIT):
+            return arr
     return np.array([_as_unit_vector(p) for p in points]).reshape(-1, 3)
 
 

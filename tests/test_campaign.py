@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ class TestRunVerify:
         small = next(c for c in small_report.checks if c.name == "small_diameter_extreme_equality")
         _, bd, ed = small_trial(small.worst_case_payload["seed"], small.worst_case_payload["trial"])
         assert abs(bd - ed) == pytest.approx(-small.min_margin, abs=1e-12)
+
+    def test_matches_pinned_report(self, small_report):
+        # Reference report of this configuration, wall time dropped; any change
+        # to a worst case, a margin or a payload is a change of behaviour.
+        pinned = json.loads((Path(__file__).parent / "small_report.json").read_text())
+        report = small_report.to_dict()
+        assert report["config"] == pinned["config"]
+        keys = ("name", "instances", "min_margin", "worst_case_payload", "pass")
+        assert len(report["checks"]) == len(pinned["checks"])
+        for got, want in zip(report["checks"], pinned["checks"]):
+            assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+            assert list(got["worst_case_payload"]) == list(want["worst_case_payload"])
 
     def test_impossible_tolerance_fails_honestly(self):
         report = run_verify(

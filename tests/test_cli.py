@@ -98,6 +98,13 @@ class TestLuneCommand:
         assert payload["thickness_gap"] > 0.0
         assert len(payload["point_i"]) == 3
 
+    @pytest.mark.parametrize("samples", ["0", "-1", "1"])
+    def test_too_few_samples_rejected(self, capsys, samples):
+        code, out, err = run_cli(capsys, "lune", "--delta", "2.5", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_narrow_lune_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lune", "--delta", "1.0")
         assert code == 2
@@ -143,8 +150,14 @@ class TestPolygonCommands:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"verts": []}', '{"vertices": 5}', '{"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]}', "not json"],
-        ids=["no-vertices-key", "vertices-not-a-list", "non-numeric-coordinate", "not-json"],
+        [
+            '{"verts": []}',
+            '{"vertices": 5}',
+            '{"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]}',
+            "not json",
+            '{"vertices": [[1e308, 1e308, 0], [0, 1, 0], [0, 0, 1]]}',
+        ],
+        ids=["no-vertices-key", "vertices-not-a-list", "non-numeric-coordinate", "not-json", "overflowing-norm"],
     )
     def test_malformed_polygon_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -209,9 +222,10 @@ class TestVerifyCommand:
 
     def test_report_written_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
-        code, _, _ = run_cli(capsys, *self.args, "--json", "--out", str(path))
+        code, out, _ = run_cli(capsys, *self.args, "--json", "--out", str(path))
         assert code == 0
         assert json.loads(path.read_text())["overall_pass"] is True
+        assert path.read_bytes() == out.encode("utf-8")
 
     def test_impossible_tolerance_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, *self.args, "--tol", "1e-30")

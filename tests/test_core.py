@@ -18,6 +18,7 @@ from sphereconvex import (
     angle_at,
     antipode,
     arc_point,
+    convex_hull,
     distance,
     foot_of_perpendicular,
     great_circle_through,
@@ -41,6 +42,17 @@ class TestSpherePoint:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             SpherePoint((float("nan"), 0.0, 1.0))
+
+    def test_overflowing_norm_rejected(self):
+        # every coordinate is finite, but the norm overflows float64
+        with pytest.raises(DomainError, match="overflows"):
+            SpherePoint((1e308, 1e308, 0.0))
+
+    def test_overflowing_hull_row_rejected(self):
+        rows = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1e308, 1e308, 0.0]]
+        for points in (rows, np.array(rows)):
+            with pytest.raises(DomainError, match="overflows"):
+                convex_hull(points)
 
     def test_vector_is_read_only(self):
         p = SpherePoint((0.0, 0.0, 1.0))
