@@ -20,13 +20,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .campaign import (
+    LUNE_SAMPLES,
     CampaignConfig,
     DeltaGrid,
     phi_curve,
@@ -41,14 +41,6 @@ from .quad import check_identities, phi, phi_inverse_delta, solve_quad
 from . import vecmath
 
 SEED_ENV_VAR = "SPHERECONVEX_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR, "42")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -76,15 +68,24 @@ def _load_polygon(path: str) -> SphericalPolygon:
     return SphericalPolygon.from_dict(obj)
 
 
-def _cmd_verify(args) -> int:
-    fmt = "json" if args.json else ("csv" if args.csv else "text")
-    config = CampaignConfig(
-        seed=_default_seed() if args.seed is None else args.seed,
+def _verify_config(args) -> CampaignConfig:
+    seed = os.environ.get(SEED_ENV_VAR, str(CampaignConfig.seed)) if args.seed is None else args.seed
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR}={seed!r} is not an integer") from None
+    return CampaignConfig(
+        seed=seed,
         trials=args.trials,
         delta_grid=DeltaGrid(lo=args.delta_min, hi=args.delta_max, steps=args.delta_steps),
         tolerance=args.tol,
-        output_format=fmt,
+        output_format="json" if args.json else ("csv" if args.csv else "text"),
     )
+
+
+def _cmd_verify(args) -> int:
+    config = _verify_config(args)
+    fmt = config.output_format
     report = run_verify(config)
     if fmt == "csv":
         text = _rows_to_csv(report.csv_rows())
@@ -203,12 +204,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the verification campaign")
-    p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 42")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--delta-min", type=float, default=math.pi / 2 + 1e-3)
-    p.add_argument("--delta-max", type=float, default=math.pi - 1e-3)
-    p.add_argument("--delta-steps", type=int, default=50)
+    p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or {CampaignConfig.seed}")
+    p.add_argument("--trials", type=int, default=CampaignConfig.trials)
+    p.add_argument("--tol", type=float, default=CampaignConfig.tolerance)
+    p.add_argument("--delta-min", type=float, default=DeltaGrid.lo)
+    p.add_argument("--delta-max", type=float, default=DeltaGrid.hi)
+    p.add_argument("--delta-steps", type=int, default=DeltaGrid.steps)
     p.add_argument("--out", default=None, help="also write the report to this file")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -240,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lune", help="lune thickness and inscribed-triangle checks")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=LUNE_SAMPLES)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lune)
 

@@ -1,10 +1,11 @@
 """Convex spherical polygons: hulls, extreme points, and boundary diameter.
 
 Polygons are modeled as ordered vertex cycles strictly contained in an open
-hemisphere (hence free of antipodal pairs).  Hull construction projects the
-input gnomonically onto the tangent plane at a hemisphere center; since the
-projection maps great circles to straight lines, planar convexity inside the
-chart coincides with spherical convexity.
+hemisphere (hence free of antipodal pairs), with the interior on the
+non-negative side of each edge normal V_i x V_{i+1}.  Hull construction
+projects the input gnomonically onto the tangent plane at a hemisphere
+center; since the projection maps great circles to straight lines, planar
+convexity inside the chart coincides with spherical convexity.
 
 The boundary diameter is computed by exact candidate enumeration rather than
 sampling: for diameters above pi/2 one point of the farthest boundary pair
@@ -38,8 +39,8 @@ from .quad import phi
 
 # Strict open-hemisphere containment margin for vertices.
 EPS_HEMI = 1e-6
-# A vertex whose interior angle is within this of pi lies on the arc joining
-# its neighbours and is not an extreme point.
+# A vertex whose turn is at most this (interior angle within this of pi) lies
+# on the arc joining its neighbours and is not an extreme point.
 EPS_ANGLE = 1e-9
 
 # Slack for "point lies on this edge arc" membership in candidate tests;
@@ -58,13 +59,6 @@ def _chart_basis(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 = vecmath.unit(vecmath.cross(axis, center))
     e2 = vecmath.cross(center, e1)
     return e1, e2
-
-
-def _to_chart(center: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Gnomonic coordinates of pts (all with positive dot against center)."""
-    e1, e2 = _chart_basis(center)
-    d = pts @ center
-    return np.stack([(pts @ e1) / d, (pts @ e2) / d], axis=-1)
 
 
 def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
@@ -107,22 +101,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _vertex_angles(V: np.ndarray) -> np.ndarray:
-    """Interior angle at each vertex of the cycle V, from the tangents there
-    towards the previous and the next vertex."""
-    tp = vecmath.unit(vecmath.reject(np.roll(V, 1, axis=0), V))
-    tn = vecmath.unit(vecmath.reject(np.roll(V, -1, axis=0), V))
-    return vecmath.ang(tp, tn)
+def _normals_of(V: np.ndarray) -> np.ndarray:
+    return vecmath.unit(vecmath.cross(V, np.roll(V, -1, axis=0)))
+
+
+def _turns_of(V: np.ndarray, N: np.ndarray) -> np.ndarray:
+    """Turn from N_{i-1} to N_i about V_i, positive to the left: pi - interior angle."""
+    Np = np.roll(N, 1, axis=0)
+    return np.arctan2(np.sum(vecmath.cross(Np, N) * V, axis=1), np.sum(Np * N, axis=1))
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class SphericalPolygon:
     """Ordered vertex cycle of a convex spherical polygon.
 
-    Vertices wind counterclockwise as seen in the tangent chart at
-    hemisphere_center; every vertex lies strictly inside that open
-    hemisphere.  Interior angles may equal pi (a vertex sitting on the arc
-    between its neighbours); such vertices are valid but not extreme.
+    The interior lies on the non-negative side of each edge normal
+    V_i x V_{i+1}, and every vertex strictly inside the open hemisphere about
+    hemisphere_center.  The signed turn at each vertex decides convexity,
+    winding and extreme points; a vertex that does not turn sits on the arc
+    between its neighbours and is valid but not extreme.
 
     Takes the vertices as an (n, 3) array or a sequence of SpherePoints or
     3-sequences, each row checked as SpherePoint checks it, and keeps them as
@@ -140,22 +137,24 @@ class SphericalPolygon:
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
         c = hemisphere_center.v
-        if float(np.min(V @ c)) <= EPS_HEMI:
+        Vc = V @ c
+        if float(np.min(Vc)) <= EPS_HEMI:
             raise InvalidPolygon("a vertex is not strictly inside the open hemisphere")
-        if np.any(self._edge_lengths <= EPS_ANTIPODE) or np.any(self._edge_lengths >= math.pi - EPS_ANTIPODE):
+        L = self._edge_lengths
+        if np.any(L <= EPS_ANTIPODE) or np.any(L >= math.pi - EPS_ANTIPODE):
             raise InvalidPolygon("consecutive vertices equal or antipodal")
-        Z = _to_chart(c, V)
-        e = np.roll(Z, -1, axis=0) - Z
-        e_next = np.roll(e, -1, axis=0)
-        cr = e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-        scale = np.linalg.norm(e, axis=1) * np.linalg.norm(e_next, axis=1)
-        if np.any(cr < -1e-9 * scale):
-            raise InvalidPolygon("vertices are not in convex counterclockwise order")
-        turning = float(np.sum(np.arctan2(cr, np.sum(e * e_next, axis=1))))
-        if abs(turning - 2.0 * math.pi) > 1e-6:
-            raise InvalidPolygon("vertex cycle does not wind once around the polygon")
-        if np.any(self._interior_angles <= 1e-12):
+        t = self._turns
+        # a reversal along an edge turns by +pi or -pi, as rounding falls
+        if np.any(np.abs(t) >= math.pi - 1e-12):
             raise InvalidPolygon("zero interior angle")
+        if np.any(t < -1e-9):
+            raise InvalidPolygon("vertices are not in convex counterclockwise order")
+        # Gauss-Bonnet: turns plus area make 2*pi iff the cycle winds once.  The
+        # area is the fan of signed triangles (c, V_i, V_{i+1}); c.(V_i x V_{i+1})
+        # is sin(L_i) c.N_i, and atan2's x > 0 as every vertex is in c's hemisphere.
+        fan = 2.0 * np.arctan2(np.sin(L) * (self._edge_normals @ c), 1.0 + Vc + np.roll(Vc, -1) + np.cos(L))
+        if abs(float(np.sum(t) + np.sum(fan)) - 2.0 * math.pi) > 1e-6:
+            raise InvalidPolygon("vertex cycle does not wind once around the polygon")
 
     @cached_property
     def vertices(self) -> tuple[SpherePoint, ...]:
@@ -163,10 +162,7 @@ class SphericalPolygon:
 
     @cached_property
     def _edge_normals(self) -> np.ndarray:
-        """Unit normals of the edge great circles; interior is on the
-        non-negative side of each."""
-        V = self._varr
-        return _frozen(vecmath.unit(vecmath.cross(V, np.roll(V, -1, axis=0))))
+        return _frozen(_normals_of(self._varr))
 
     @cached_property
     def _edge_lengths(self) -> np.ndarray:
@@ -174,8 +170,12 @@ class SphericalPolygon:
         return _frozen(vecmath.ang(V, np.roll(V, -1, axis=0)))
 
     @cached_property
-    def _interior_angles(self) -> np.ndarray:
-        return _frozen(_vertex_angles(self._varr))
+    def _turns(self) -> np.ndarray:
+        return _frozen(_turns_of(self._varr, self._edge_normals))
+
+    @cached_property
+    def _extreme(self) -> np.ndarray:
+        return _frozen(self._turns > EPS_ANGLE)
 
     def to_dict(self) -> dict:
         return {"vertices": self._varr.tolist()}
@@ -226,8 +226,10 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     if arr.shape[0] < 3:
         raise TooFewPoints(f"need at least 3 points, got {arr.shape[0]}")
     center = _hemisphere_center(arr)
+    e1, e2 = _chart_basis(center)
+    d = arr @ center
     try:
-        hull = _PlanarHull(_to_chart(center, arr))
+        hull = _PlanarHull(np.stack([(arr @ e1) / d, (arr @ e2) / d], axis=-1))
     except QhullError as exc:
         raise DegenerateHull("points are collinear in the chart (one great circle)") from exc
     ring = _absorb_flat_vertices(arr[hull.vertices])  # counterclockwise in the chart
@@ -237,15 +239,13 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
 
 
 def _absorb_flat_vertices(ring: np.ndarray) -> np.ndarray:
-    """Drop duplicate-adjacent vertices and vertices with interior angle pi."""
+    """Drop duplicate-adjacent vertices and vertices that do not turn left."""
     while ring.shape[0] >= 3:
         keep = vecmath.ang(ring, np.roll(ring, -1, axis=0)) > EPS_ANTIPODE
-        if not np.all(keep):
-            ring = ring[keep]
-            continue
-        keep = _vertex_angles(ring) < math.pi - EPS_ANGLE
         if np.all(keep):
-            break
+            keep = _turns_of(ring, _normals_of(ring)) > EPS_ANGLE
+            if np.all(keep):
+                break
         ring = ring[keep]
     return ring
 
@@ -259,13 +259,12 @@ def contains(P: SphericalPolygon, p: SpherePoint, tol: float = EPS_ON) -> bool:
 
 def extreme_points(P: SphericalPolygon) -> list[SpherePoint]:
     """Vertices that are not interior to the arc joining their neighbours."""
-    keep = P._interior_angles < math.pi - EPS_ANGLE
-    return [p for p, k in zip(P.vertices, keep) if k]
+    return [SpherePoint(v) for v in P._varr[P._extreme]]
 
 
 def extreme_diameter(P: SphericalPolygon) -> float:
     """Largest pairwise distance between extreme points."""
-    return _farthest_pair(P._varr[P._interior_angles < math.pi - EPS_ANGLE])[2]
+    return _farthest_pair(P._varr[P._extreme])[2]
 
 
 def _farthest_pair(V: np.ndarray) -> tuple[int, int, float]:

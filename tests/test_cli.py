@@ -1,12 +1,16 @@
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sphereconvex
 from sphereconvex import SpherePoint, arc_point, GeodesicArc
-from sphereconvex.cli import main
+from sphereconvex.campaign import LUNE_SAMPLES, CampaignConfig
+from sphereconvex.cli import _build_parser, _verify_config, main
 
 PHI_AT_TWO_PI_THIRD = 0.935929455661326
 
@@ -104,6 +108,9 @@ class TestLuneCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_default_samples(self):
+        assert _build_parser().parse_args(["lune", "--delta", "2.5"]).samples == LUNE_SAMPLES
 
     def test_narrow_lune_rejected(self, capsys):
         code, _, err = run_cli(capsys, "lune", "--delta", "1.0")
@@ -237,6 +244,14 @@ class TestVerifyCommand:
         assert code == 2
         assert "trials" in err
 
+    def test_defaults_match_campaign_config(self, monkeypatch):
+        monkeypatch.delenv("SPHERECONVEX_SEED", raising=False)
+        config = _verify_config(_build_parser().parse_args(["verify"]))
+        default = CampaignConfig()
+        for field in dataclasses.fields(CampaignConfig):
+            if field.name not in ("seed", "output_format"):
+                assert getattr(config, field.name) == getattr(default, field.name), field.name
+
     def test_env_seed_override(self, capsys, monkeypatch):
         monkeypatch.setenv("SPHERECONVEX_SEED", "99")
         code, out, _ = run_cli(capsys, "verify", "--trials", "5", "--delta-steps", "4", "--json")
@@ -255,11 +270,15 @@ class TestVerifyCommand:
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(sphereconvex.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sphereconvex", "phi", "--delta", "2.0944", "--json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "phi" in json.loads(proc.stdout)

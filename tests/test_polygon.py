@@ -74,6 +74,37 @@ def spherical_square(colat=0.8):
     return [SpherePoint((s * math.cos(k * math.pi / 2), s * math.sin(k * math.pi / 2), z)) for k in range(4)]
 
 
+def chart_cycle(xy):
+    """Gnomonic image about (0, 0, 1) of the planar vertex cycle xy."""
+    return tuple(SpherePoint((x, y, 1.0)) for x, y in xy)
+
+
+def star_polygon(count, step, radius=0.5):
+    """Every `step`-th vertex of the regular count-gon of circumradius radius
+    about (0, 0, 1), until the cycle closes."""
+    R = math.tan(radius)
+    angles = (2 * math.pi * k * step / count for k in range(count))
+    return chart_cycle((R * math.cos(a), R * math.sin(a)) for a in angles)
+
+
+def limacon(b=0.5, count=40):
+    """Gnomonic image of r = b + cos(theta): for b < 1 it turns left at every
+    vertex but winds twice, once through its inner loop."""
+    theta = 2 * math.pi * np.arange(count) / count
+    r = b + np.cos(theta)
+    return chart_cycle(zip(r * np.cos(theta), r * np.sin(theta)))
+
+
+def pushed_hexagon(radius, sine=2e-9):
+    """Regular hexagon of circumradius `radius` about (0, 0, 1) with vertex 0
+    pushed inwards past the arc joining its neighbours, so the chart turn
+    there has sine about -sine."""
+    R = math.tan(radius)
+    xy = [(R * math.cos(k * math.pi / 3), R * math.sin(k * math.pi / 3)) for k in range(6)]
+    xy[0] = (R * (0.5 - sine * math.sqrt(3) / 4), 0.0)
+    return chart_cycle(xy)
+
+
 def square_with_collinear_vertex():
     """A square with one edge subdivided by its arc midpoint (5 vertices, one
     interior angle exactly pi)."""
@@ -217,6 +248,44 @@ class TestPolygonValidation:
         for verts in as_points_and_array((OCTANT[0], OCTANT[1])):
             with pytest.raises(InvalidPolygon):
                 SphericalPolygon(verts, SpherePoint((1.0, 1.0, 1.0)))
+
+    def test_triangle_listed_twice_rejected(self):
+        for verts in as_points_and_array(2 * star_polygon(3, 1)):
+            with pytest.raises(InvalidPolygon, match="wind once"):
+                SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
+
+    def test_pentagram_rejected(self):
+        for verts in as_points_and_array(star_polygon(5, 2)):
+            with pytest.raises(InvalidPolygon, match="wind once"):
+                SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
+
+    def test_locally_convex_limacon_rejected(self):
+        for verts in as_points_and_array(limacon()):
+            with pytest.raises(InvalidPolygon, match="wind once"):
+                SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
+
+    def test_spike_rejected(self):
+        a, b = OCTANT[0], OCTANT[1]
+        for verts in as_points_and_array((a, b, arc_point(GeodesicArc(a, b), 0.5))):
+            with pytest.raises(InvalidPolygon, match="zero interior angle"):
+                SphericalPolygon(verts, SpherePoint((1.0, 1.0, 1.0)))
+
+    def test_spike_message_independent_of_rounding(self):
+        # a reversal turns by +pi or -pi depending on the rounding of a
+        # vanishing cross product; either way it is a zero interior angle
+        v = spherical_square()
+        for a, b in ((v[0], v[1]), (v[1], v[2]), (OCTANT[1], OCTANT[2])):
+            m = arc_point(GeodesicArc(a, b), 0.5)
+            for cycle in ((a, b, m), (a, m, b), (m, a, b)):
+                for verts in as_points_and_array(cycle):
+                    with pytest.raises(InvalidPolygon, match="zero interior angle"):
+                        SphericalPolygon(verts, SpherePoint(tuple(a.v + b.v + 0.1 * v[2].v)))
+
+    @pytest.mark.parametrize("radius", [1.0, 1e-4])
+    def test_reflex_vertex_rejected_at_every_scale(self, radius):
+        for verts in as_points_and_array(pushed_hexagon(radius)):
+            with pytest.raises(InvalidPolygon, match="convex counterclockwise"):
+                SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
 
     def test_flat_vertex_allowed(self):
         P = square_with_collinear_vertex()
