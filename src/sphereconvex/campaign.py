@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
@@ -44,6 +46,9 @@ SCHEMA_VERSION = 1
 LUNE_SAMPLES = 200
 QUAD_GRID_STEPS = 20
 QUAD_GRID_RANGE = (0.05, math.pi / 2 - 0.05)
+
+# Monte Carlo trials per task handed to a worker process.
+TRIAL_CHUNK = 100
 
 # Stream tags for per-trial PCG64 substreams.
 STREAM_WIDE = 0  # diameter in (pi/2, pi)
@@ -196,6 +201,55 @@ def small_trial(seed: int, index: int) -> tuple[SphericalPolygon, float, float]:
     return P, w.value, extreme_diameter(P)
 
 
+def trial_chunk(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
+    """Per-trial scalar rows of trials lo..hi-1 of one stream.
+
+    Wide rows are (margin, ratio, diameter, extreme diameter, vertex count);
+    small rows are (boundary diameter, extreme diameter).  Only scalars are
+    kept, so no polygon outlives its trial.
+    """
+    if stream == STREAM_WIDE:
+        rows = []
+        for index in range(lo, hi):
+            t = wide_trial(seed, index)
+            rows.append((t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0]))
+    else:
+        rows = [small_trial(seed, index)[1:] for index in range(lo, hi)]
+    return np.array(rows, dtype=float)
+
+
+def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """`trial_chunk` rows of the first `count` trials of each (stream, count).
+
+    The trials are cut into chunks of TRIAL_CHUNK and mapped over a forked
+    process pool with one worker per CPU in this process's affinity mask.
+    With one CPU, without the fork start method, or where forking is unsafe
+    (a daemonic process, other running threads), the same chunks run in this
+    process.  Every trial draws from its own PCG64 stream and the chunks are
+    joined in index order, so the rows do not depend on the worker count.
+    """
+    import multiprocessing  # here, so that importing the package does not load it
+
+    tasks = [
+        (seed, stream, lo, min(lo + TRIAL_CHUNK, count))
+        for stream, count in counts
+        for lo in range(0, count, TRIAL_CHUNK)
+    ]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    can_fork = (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+        and threading.active_count() == 1
+    )
+    workers = min(cpus, len(tasks)) if can_fork else 1
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            chunks = pool.starmap(trial_chunk, tasks, chunksize=1)
+    else:
+        chunks = [trial_chunk(*task) for task in tasks]
+    return [np.concatenate([rows for task, rows in zip(tasks, chunks) if task[1] == stream]) for stream, _ in counts]
+
+
 def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], tol: float) -> CheckResult:
     """A check's result from its per-case margins; the worst case k is the first smallest one."""
     margins = np.asarray(margins, dtype=float)
@@ -236,16 +290,11 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     quads = [(kappa, lam) for kappa in sides for lam in sides]
     # Sampled before the trials grow the heap, so its large temporaries do not add to the peak.
     clearance = np.array([min_sampled_distance(construct_lune(d), LUNE_SAMPLES, LUNE_SAMPLES) for d in deltas])
-    # Per-trial scalars only, so no polygon outlives its trial.
-    wide = np.empty((trials, 5))
-    for index in range(trials):
-        t = wide_trial(seed, index)
-        wide[index] = (t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0])
-    margin, ratio, diam, ext, nverts = wide.T
-    table = tightness_table(grid)
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
-    small = [small_trial(seed, index)[1:] for index in range(min(1000, 10 * trials))]
+    wide, small = trial_rows(seed, [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))])
+    margin, ratio, diam, ext, nverts = wide.T
+    table = tightness_table(grid)
 
     def at_delta(k: int) -> dict:
         return {"delta": deltas[k]}

@@ -26,9 +26,9 @@ from sphereconvex import (
     random_polygon,
     regular_triangle,
     solve_quad,
-    wide_trial,
     small_trial,
 )
+from sphereconvex.campaign import STREAM_WIDE, trial_rows
 from support import oracle_diameter, sampled_diameter
 
 SEED = 42
@@ -44,14 +44,8 @@ def report(number, name, ok, detail):
 @pytest.fixture(scope="module")
 def monte_carlo():
     t0 = time.perf_counter()
-    margins = np.empty(MC_TRIALS)
-    ratios = np.empty(MC_TRIALS)
-    diameters = np.empty(MC_TRIALS)
-    for i in range(MC_TRIALS):
-        t = wide_trial(SEED, i)
-        margins[i] = t.margin
-        ratios[i] = t.ratio
-        diameters[i] = t.witness.value
+    (rows,) = trial_rows(SEED, [(STREAM_WIDE, MC_TRIALS)])
+    margins, ratios, diameters = rows[:, 0], rows[:, 1], rows[:, 2]
     elapsed = time.perf_counter() - t0
     return {"margins": margins, "ratios": ratios, "diameters": diameters, "elapsed": elapsed}
 

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,15 @@ from sphereconvex import (
     tightness_table,
     wide_trial,
 )
+from sphereconvex import campaign
 
 PHI_AT_TWO_PI_THIRD = 0.935929455661326
 
 SMALL = CampaignConfig(seed=7, trials=25, delta_grid=DeltaGrid(steps=6), tolerance=1e-9)
+
+# A trial chunk short enough to put chunk edges of both streams within a few
+# hundred trials: the small stream runs ten trials per wide trial.
+CHUNK = 10
 
 EXPECTED_CHECKS = [
     "phi_monotonic",
@@ -87,6 +94,19 @@ class TestRunVerify:
         assert failing
         for c in failing:
             assert math.isfinite(c.min_margin)
+
+    @pytest.mark.parametrize("trials", [SMALL.trials, 1, CHUNK, CHUNK + 1])
+    def test_report_independent_of_cpu_count(self, monkeypatch, trials):
+        monkeypatch.setattr(campaign, "TRIAL_CHUNK", CHUNK)
+        config = dataclasses.replace(SMALL, trials=trials)
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            report = run_verify(config).to_dict()
+            report.pop("wall_time_s")
+            reports.append(json.dumps(report, indent=2))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
 
     def test_report_text_formats(self, small_report):
         text = small_report.to_text()

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import sphereconvex
-from sphereconvex import SpherePoint, arc_point, GeodesicArc
+from sphereconvex import SamplingExhausted, SpherePoint, arc_point, GeodesicArc, campaign
 from sphereconvex.campaign import LUNE_SAMPLES, CampaignConfig
 from sphereconvex.cli import _build_parser, _verify_config, main
 
@@ -239,6 +241,37 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("other_threads", [0, 1])
+    def test_trial_error_exit_two(self, capsys, monkeypatch, other_threads):
+        # The fork carries the planted fault into the pool's workers, and the
+        # message names the process that raised it.  Beside another thread
+        # forking is unsafe, so the trials run in this process.
+        real = campaign.wide_trial
+
+        def planted(seed, index):
+            if index == campaign.TRIAL_CHUNK:
+                raise SamplingExhausted(f"planted at trial {index} in process {os.getpid()}")
+            return real(seed, index)
+
+        monkeypatch.setattr(campaign, "wide_trial", planted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        stop = threading.Event()
+        threads = [threading.Thread(target=stop.wait) for _ in range(other_threads)]
+        for thread in threads:
+            thread.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--trials", str(campaign.TRIAL_CHUNK + 1), "--delta-steps", "2")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: planted at trial {campaign.TRIAL_CHUNK} in process ")
+        assert (int(err.split()[-1]) == os.getpid()) == bool(other_threads)
+        assert multiprocessing.active_children() == []
+
     def test_invalid_config_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
@@ -282,3 +315,24 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "phi" in json.loads(proc.stdout)
+
+
+def test_import_leaves_pool_and_lp_unloaded():
+    # `multiprocessing` loads when a campaign maps its trials and
+    # `scipy.optimize` when the hemisphere search falls back to its LP, so
+    # importing the package and its CLI pays for neither.
+    src = os.path.dirname(os.path.dirname(sphereconvex.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, sphereconvex, sphereconvex.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
