@@ -42,6 +42,7 @@ from .lune import (
     Lune,
     construct_lune,
     equilateral_points,
+    lune_checks,
     min_sampled_distance,
     perpendicular_drop,
 )

@@ -26,9 +26,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import distance
 from .errors import ConfigError
-from .lune import construct_lune, equilateral_points, min_sampled_distance
+from .lune import lune_checks
 from .polygon import (
     SphericalPolygon,
     DiameterWitness,
@@ -47,7 +46,7 @@ LUNE_SAMPLES = 200
 QUAD_GRID_STEPS = 20
 QUAD_GRID_RANGE = (0.05, math.pi / 2 - 0.05)
 
-# Monte Carlo trials per task handed to a worker process.
+# Monte Carlo trials per chunk the pool hands to a worker process.
 TRIAL_CHUNK = 100
 
 # Stream tags for per-trial PCG64 substreams.
@@ -89,6 +88,8 @@ class CampaignConfig:
             raise ConfigError("delta grid must satisfy pi/2 < lo < hi < pi")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not math.isfinite(self.tolerance):
+            raise ConfigError(f"tolerance must be finite, got {self.tolerance}")
         if self.output_format not in ("text", "json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 
@@ -201,53 +202,46 @@ def small_trial(seed: int, index: int) -> tuple[SphericalPolygon, float, float]:
     return P, w.value, extreme_diameter(P)
 
 
-def trial_chunk(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
-    """Per-trial scalar rows of trials lo..hi-1 of one stream.
+def trial_row(seed: int, stream: int, index: int) -> tuple:
+    """Scalar row of trial `index` of one stream.
 
     Wide rows are (margin, ratio, diameter, extreme diameter, vertex count);
     small rows are (boundary diameter, extreme diameter).  Only scalars are
     kept, so no polygon outlives its trial.
     """
     if stream == STREAM_WIDE:
-        rows = []
-        for index in range(lo, hi):
-            t = wide_trial(seed, index)
-            rows.append((t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0]))
-    else:
-        rows = [small_trial(seed, index)[1:] for index in range(lo, hi)]
-    return np.array(rows, dtype=float)
+        t = wide_trial(seed, index)
+        return t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0]
+    return small_trial(seed, index)[1:]
 
 
 def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """`trial_chunk` rows of the first `count` trials of each (stream, count).
+    """`trial_row` arrays of the first `count` trials of each (stream, count).
 
-    The trials are cut into chunks of TRIAL_CHUNK and mapped over a forked
-    process pool with one worker per CPU in this process's affinity mask.
-    With one CPU, without the fork start method, or where forking is unsafe
-    (a daemonic process, other running threads), the same chunks run in this
-    process.  Every trial draws from its own PCG64 stream and the chunks are
-    joined in index order, so the rows do not depend on the worker count.
+    The trials are mapped in chunks of TRIAL_CHUNK over a forked process pool
+    with one worker per CPU in this process's affinity mask.  With one CPU,
+    without the fork start method, or where forking is unsafe (a daemonic
+    process, other running threads), they run in this process.  Every trial
+    draws from its own PCG64 stream and the rows come back in input order,
+    so they do not depend on the worker count.
     """
     import multiprocessing  # here, so that importing the package does not load it
 
-    tasks = [
-        (seed, stream, lo, min(lo + TRIAL_CHUNK, count))
-        for stream, count in counts
-        for lo in range(0, count, TRIAL_CHUNK)
-    ]
+    tasks = [(seed, stream, index) for stream, count in counts for index in range(count)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = (
         "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
         and threading.active_count() == 1
     )
-    workers = min(cpus, len(tasks)) if can_fork else 1
+    workers = min(cpus, math.ceil(len(tasks) / TRIAL_CHUNK)) if can_fork else 1
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            chunks = pool.starmap(trial_chunk, tasks, chunksize=1)
+            rows = pool.starmap(trial_row, tasks, chunksize=TRIAL_CHUNK)
     else:
-        chunks = [trial_chunk(*task) for task in tasks]
-    return [np.concatenate([rows for task, rows in zip(tasks, chunks) if task[1] == stream]) for stream, _ in counts]
+        rows = [trial_row(*task) for task in tasks]
+    ends = np.cumsum([count for _, count in counts])
+    return [np.array(rows[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
 
 
 def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], tol: float) -> CheckResult:
@@ -265,15 +259,6 @@ def _quad_error(kappa: float, lam: float) -> float:
     return max(abs(sol.mu - meas.mu), abs(sol.nu - meas.nu), abs(sol.xi - meas.xi), *check_identities(meas))
 
 
-def _equilateral_error(delta: float) -> float:
-    """Worst deviation of the lune's inscribed triangle from side 2*phi(delta)."""
-    lune = construct_lune(delta)
-    i, j = equilateral_points(lune)
-    apex = lune.side_b.center
-    target = 2.0 * phi(delta)
-    return max(abs(distance(i, apex) - target), abs(distance(j, apex) - target), abs(distance(i, j) - target))
-
-
 def run_verify(config: CampaignConfig) -> CampaignReport:
     """Run the full verification campaign described by the configuration.
 
@@ -289,7 +274,7 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     sides = [float(s) for s in np.linspace(*QUAD_GRID_RANGE, QUAD_GRID_STEPS)]
     quads = [(kappa, lam) for kappa in sides for lam in sides]
     # Sampled before the trials grow the heap, so its large temporaries do not add to the peak.
-    clearance = np.array([min_sampled_distance(construct_lune(d), LUNE_SAMPLES, LUNE_SAMPLES) for d in deltas])
+    lunes = [lune_checks(d, LUNE_SAMPLES) for d in deltas]
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
     wide, small = trial_rows(seed, [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))])
@@ -321,10 +306,10 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
             lambda k: {"kappa": quads[k][0], "lambda": quads[k][1]},
             tol,
         ),
-        _check("lune_equilateral_triangle", [-_equilateral_error(d) for d in deltas], at_delta, tol),
+        _check("lune_equilateral_triangle", [-row["equilateral_max_residual"] for row in lunes], at_delta, tol),
         _check(
             "lune_orthogonal_drop_clearance",
-            clearance - 2.0 * phis,
+            [row["sampled_min_margin"] for row in lunes],
             lambda k: {"delta": deltas[k], "samples": LUNE_SAMPLES},
             tol,
         ),

@@ -23,8 +23,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .campaign import (
     LUNE_SAMPLES,
     CampaignConfig,
@@ -33,12 +31,10 @@ from .campaign import (
     run_verify,
     tightness_grid,
 )
-from .core import distance
 from .errors import ConfigError, InvalidPolygon, SphereGeometryError
-from .lune import construct_lune, equilateral_points, min_sampled_distance
+from .lune import lune_checks
 from .polygon import SphericalPolygon, boundary_diameter, extreme_diameter, extreme_points
 from .quad import check_identities, phi, phi_inverse_delta, solve_quad
-from . import vecmath
 
 SEED_ENV_VAR = "SPHERECONVEX_SEED"
 
@@ -59,11 +55,17 @@ def _emit_rows(rows: list[dict], as_json: bool) -> None:
         sys.stdout.write(_rows_to_csv(rows))
 
 
+def _emit(args, payload: dict, lines: list[str]) -> int:
+    """Print the payload as one JSON line with --json, else the text lines."""
+    print(json.dumps(payload) if args.json else "\n".join(lines))
+    return 0
+
+
 def _load_polygon(path: str) -> SphericalPolygon:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
             raise InvalidPolygon(f"{path} is not a JSON file: {exc}") from exc
     return SphericalPolygon.from_dict(obj)
 
@@ -105,8 +107,7 @@ def _cmd_phi(args) -> int:
     else:
         payload = {"phi": args.inverse, "delta": phi_inverse_delta(args.inverse)}
         text = f"phi_inverse_delta({args.inverse!r}) = {payload['delta']!r}"
-    print(json.dumps(payload) if args.json else text)
-    return 0
+    return _emit(args, payload, [text])
 
 
 def _cmd_phi_curve(args) -> int:
@@ -122,81 +123,33 @@ def _cmd_tightness(args) -> int:
 def _cmd_quad(args) -> int:
     sol = solve_quad(args.kappa, args.lam)
     residuals = check_identities(sol)
-    payload = sol.to_dict()
-    payload["residuals"] = list(residuals)
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for key in ("kappa", "lambda", "mu", "nu", "xi"):
-            print(f"{key:<8} = {payload[key]!r}")
-        print(f"residuals = {[f'{r:.3e}' for r in residuals]}")
-    return 0
+    payload = {**sol.to_dict(), "residuals": list(residuals)}
+    lines = [f"{key:<8} = {payload[key]!r}" for key in ("kappa", "lambda", "mu", "nu", "xi")]
+    return _emit(args, payload, [*lines, f"residuals = {[f'{r:.3e}' for r in residuals]}"])
 
 
 def _cmd_lune(args) -> int:
-    lune = construct_lune(args.delta)
-    ph = phi(args.delta)
-    # Validates the sample count before the chord is sampled below.
-    min_kl = min_sampled_distance(lune, args.samples, args.samples)
-    i, j = equilateral_points(lune)
-    apex = lune.side_b.center
-    sides = [distance(i, j), distance(i, apex), distance(j, apex)]
-    # Worst slack of |k apex| >= 2*phi over the sampled chord.
-    t = np.linspace(0.0, 1.0, args.samples)
-    chord = vecmath.slerp(i.v, j.v, t)
-    min_kh = float(vecmath.ang(chord, apex.v).min())
-    payload = {
-        "thickness": args.delta,
-        "half_side": ph,
-        "point_i": i.tolist(),
-        "point_j": j.tolist(),
-        "apex": apex.tolist(),
-        "equilateral_sides": sides,
-        "equilateral_max_residual": max(abs(s - 2.0 * ph) for s in sides),
-        "chord_to_apex_min": min_kh,
-        "chord_to_apex_min_margin": min_kh - 2.0 * ph,
-        "sampled_min_distance": min_kl,
-        "sampled_min_margin": min_kl - 2.0 * ph,
-        "thickness_gap": args.delta - 2.0 * ph,
-        "samples": args.samples,
-    }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for key, val in payload.items():
-            print(f"{key:<28} = {val!r}")
-    return 0
+    payload = lune_checks(args.delta, args.samples)
+    return _emit(args, payload, [f"{key:<28} = {val!r}" for key, val in payload.items()])
 
 
 def _cmd_diam(args) -> int:
-    P = _load_polygon(args.infile)
-    w = boundary_diameter(P)
-    payload = w.to_dict()
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"diameter   = {w.value!r}")
-        print(f"attainment = {w.attainment}")
-        print(f"p          = {w.p.tolist()!r}")
-        print(f"q          = {w.q.tolist()!r}")
-    return 0
+    w = boundary_diameter(_load_polygon(args.infile))
+    lines = [
+        f"diameter   = {w.value!r}",
+        f"attainment = {w.attainment}",
+        f"p          = {w.p.tolist()!r}",
+        f"q          = {w.q.tolist()!r}",
+    ]
+    return _emit(args, w.to_dict(), lines)
 
 
 def _cmd_extreme(args) -> int:
     P = _load_polygon(args.infile)
-    pts = extreme_points(P)
-    payload = {
-        "extreme_points": [p.tolist() for p in pts],
-        "extreme_diameter": extreme_diameter(P),
-    }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"extreme points   = {len(pts)}")
-        for p in pts:
-            print(f"  {p.tolist()!r}")
-        print(f"extreme diameter = {payload['extreme_diameter']!r}")
-    return 0
+    pts = [p.tolist() for p in extreme_points(P)]
+    payload = {"extreme_points": pts, "extreme_diameter": extreme_diameter(P)}
+    lines = [f"extreme points   = {len(pts)}", *(f"  {p!r}" for p in pts)]
+    return _emit(args, payload, [*lines, f"extreme diameter = {payload['extreme_diameter']!r}"])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -37,7 +37,10 @@ EPS_ANTIPODE = 1e-9
 
 
 def _as_unit_vector(v) -> np.ndarray:
-    w = np.asarray(v, dtype=float)
+    try:
+        w = np.asarray(v, dtype=float)
+    except OverflowError:  # an integer beyond float64
+        raise DomainError("coordinate overflows float64") from None
     if w.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -67,7 +70,7 @@ def _as_unit_rows(points) -> np.ndarray:
         points = [p.v if isinstance(p, SpherePoint) else p for p in points]
     try:
         arr = np.array(points, dtype=float)
-    except ValueError:  # ragged or non-numeric rows: the row checks say which
+    except (ValueError, OverflowError):  # ragged, non-numeric or too large rows: the row checks say which
         arr = np.empty(0)
     with np.errstate(over="ignore"):  # an overflowing norm fails the test; its row check raises
         if arr.shape[1:] == (3,) and np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 0.5 * EPS_UNIT):

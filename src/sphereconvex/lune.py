@@ -165,3 +165,40 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
 
     dists = vecmath.ang(chord[:, None, :], arcs)
     return float(dists.min())
+
+
+def lune_checks(delta: float, samples: int) -> dict:
+    """The inscribed-triangle checks of the canonical lune of thickness delta.
+
+    Returns the equilateral triangle (the two points of side_a and the center
+    of side_b) with its worst side deviation from 2*phi(delta), the least
+    distance from `samples` chord points to that center, and
+    `min_sampled_distance` on a samples x samples grid, each with its margin
+    over 2*phi(delta).  `verify` reduces the equilateral residual and the
+    sampled margin over its delta grid; `sphereconvex lune` prints the row.
+    """
+    lune = construct_lune(delta)
+    ph = phi(delta)
+    # Validates the sample count before the chord is sampled below.
+    min_kl = min_sampled_distance(lune, samples, samples)
+    i, j = equilateral_points(lune)
+    apex = lune.side_b.center
+    sides = [distance(i, j), distance(i, apex), distance(j, apex)]
+    # Worst slack of |k apex| >= 2*phi over the sampled chord.
+    chord = vecmath.slerp(i.v, j.v, np.linspace(0.0, 1.0, samples))
+    min_kh = float(vecmath.ang(chord, apex.v).min())
+    return {
+        "thickness": delta,
+        "half_side": ph,
+        "point_i": i.tolist(),
+        "point_j": j.tolist(),
+        "apex": apex.tolist(),
+        "equilateral_sides": sides,
+        "equilateral_max_residual": max(abs(s - 2.0 * ph) for s in sides),
+        "chord_to_apex_min": min_kh,
+        "chord_to_apex_min_margin": min_kh - 2.0 * ph,
+        "sampled_min_distance": min_kl,
+        "sampled_min_margin": min_kl - 2.0 * ph,
+        "thickness_gap": delta - 2.0 * ph,
+        "samples": samples,
+    }

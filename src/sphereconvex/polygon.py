@@ -187,7 +187,7 @@ class SphericalPolygon:
         shape of data."""
         try:
             V = _as_unit_rows([SpherePoint.from_json(v) for v in obj["vertices"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidPolygon(f"malformed polygon data: {type(exc).__name__}: {exc}") from exc
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")

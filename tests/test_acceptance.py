@@ -26,9 +26,8 @@ from sphereconvex import (
     random_polygon,
     regular_triangle,
     solve_quad,
-    small_trial,
 )
-from sphereconvex.campaign import STREAM_WIDE, trial_rows
+from sphereconvex.campaign import STREAM_SMALL, STREAM_WIDE, trial_rows
 from support import oracle_diameter, sampled_diameter
 
 SEED = 42
@@ -254,8 +253,8 @@ def test_criterion_7_diameter_ratio(monte_carlo):
 
 def test_criterion_8_small_diameter_equality():
     worst = 0.0
-    for i in range(1000):
-        _, bd, ed = small_trial(SEED, i)
+    (rows,) = trial_rows(SEED, [(STREAM_SMALL, 1000)])
+    for bd, ed in rows:
         assert bd <= math.pi / 2
         worst = max(worst, abs(bd - ed))
     ok = worst <= 1e-9

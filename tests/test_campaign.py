@@ -20,6 +20,8 @@ from sphereconvex import (
     wide_trial,
 )
 from sphereconvex import campaign
+from sphereconvex.campaign import LUNE_SAMPLES
+from sphereconvex.cli import main
 
 PHI_AT_TWO_PI_THIRD = 0.935929455661326
 
@@ -72,6 +74,20 @@ class TestRunVerify:
         small = next(c for c in small_report.checks if c.name == "small_diameter_extreme_equality")
         _, bd, ed = small_trial(small.worst_case_payload["seed"], small.worst_case_payload["trial"])
         assert abs(bd - ed) == pytest.approx(-small.min_margin, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "check, key, sign",
+        [
+            ("lune_equilateral_triangle", "equilateral_max_residual", -1.0),
+            ("lune_orthogonal_drop_clearance", "sampled_min_margin", 1.0),
+        ],
+    )
+    def test_lune_worst_case_replayed_by_cli(self, small_report, capsys, check, key, sign):
+        # `sphereconvex lune` at a lune check's worst delta prints that check's row
+        c = next(c for c in small_report.checks if c.name == check)
+        argv = ["lune", "--delta", repr(c.worst_case_payload["delta"]), "--samples", str(LUNE_SAMPLES), "--json"]
+        assert main(argv) == 0
+        assert sign * json.loads(capsys.readouterr().out)[key] == c.min_margin
 
     def test_matches_pinned_report(self, small_report):
         # Reference report of this configuration, wall time dropped; any change
@@ -131,6 +147,8 @@ class TestConfigValidation:
             {"delta_grid": DeltaGrid(lo=2.0, hi=math.pi, steps=5)},
             {"delta_grid": DeltaGrid(lo=2.5, hi=2.0, steps=5)},
             {"output_format": "xml"},
+            {"tolerance": math.inf},
+            {"tolerance": math.nan},
         ],
     )
     def test_rejected(self, kwargs):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -165,8 +166,20 @@ class TestPolygonCommands:
             '{"vertices": [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]}',
             "not json",
             '{"vertices": [[1e308, 1e308, 0], [0, 1, 0], [0, 0, 1]]}',
+            '{"vertices": [[1%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % ("0" * 400),
+            '{"vertices": [{"lon_deg": 1%s, "lat_deg": 0}, [0, 1, 0], [0, 0, 1]]}' % ("0" * 400),
+            "[" * 200_000,
         ],
-        ids=["no-vertices-key", "vertices-not-a-list", "non-numeric-coordinate", "not-json", "overflowing-norm"],
+        ids=[
+            "no-vertices-key",
+            "vertices-not-a-list",
+            "non-numeric-coordinate",
+            "not-json",
+            "overflowing-norm",
+            "overflowing-integer-coordinate",
+            "overflowing-integer-longitude",
+            "nested-too-deeply",
+        ],
     )
     def test_malformed_polygon_file(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -277,6 +290,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "trials" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_two(self, capsys, tol):
+        # an infinite tolerance would pass every check and write
+        # "tolerance": Infinity, which is not JSON
+        code, out, err = run_cli(capsys, *self.args, "--tol", tol, "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be ")
+
     def test_defaults_match_campaign_config(self, monkeypatch):
         monkeypatch.delenv("SPHERECONVEX_SEED", raising=False)
         config = _verify_config(_build_parser().parse_args(["verify"]))
@@ -336,3 +358,43 @@ def test_import_leaves_pool_and_lp_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# A wide lon/lat quadrilateral with a flat vertex written as [x, y, z] on
+# its east edge; `extreme` drops that vertex.
+PINNED_POLYGON = {
+    "vertices": [
+        {"lon_deg": -60.0, "lat_deg": -50.0},
+        {"lon_deg": 60.0, "lat_deg": -50.0},
+        [0.5, 0.8660254037844386, 0.0],
+        {"lon_deg": 60.0, "lat_deg": 50.0},
+        {"lon_deg": -60.0, "lat_deg": 50.0},
+    ]
+}
+PINNED_INVOCATIONS = [
+    argv + extra
+    for argv in (
+        ["phi", "--delta", "2.0"],
+        ["phi", "--inverse", "0.9"],
+        ["phi-curve", "--steps", "4"],
+        ["tightness", "--steps", "3"],
+        ["quad", "--kappa", "0.5", "--lambda", "0.6"],
+        ["lune", "--delta", "2.5", "--samples", "50"],
+        ["lune", "--delta", "2.0944"],
+        ["diam", "--in", "{polygon}"],
+        ["extreme", "--in", "{polygon}"],
+    )
+    for extra in ([], ["--json"])
+]
+
+
+@pytest.mark.parametrize("argv", PINNED_INVOCATIONS, ids=" ".join)
+def test_output_matches_pinned(capsys, tmp_path, argv):
+    # tests/cli_outputs.json holds the stdout of each invocation, keyed by
+    # its arguments with the polygon file's path as {polygon}.
+    path = tmp_path / "polygon.json"
+    path.write_text(json.dumps(PINNED_POLYGON))
+    pinned = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())
+    code, out, err = run_cli(capsys, *(str(path) if a == "{polygon}" else a for a in argv))
+    assert (code, err) == (0, "")
+    assert out == pinned[" ".join(argv)]

@@ -54,6 +54,13 @@ class TestSpherePoint:
             with pytest.raises(DomainError, match="overflows"):
                 convex_hull(points)
 
+    def test_integer_beyond_float64_rejected(self):
+        # a Python integer too large for a float64 coordinate
+        with pytest.raises(DomainError, match="overflows"):
+            SpherePoint((10**400, 0, 0))
+        with pytest.raises(DomainError, match="overflows"):
+            convex_hull([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [10**400, 0, 0]])
+
     def test_vector_is_read_only(self):
         p = SpherePoint((0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
