@@ -78,7 +78,10 @@ class CampaignConfig:
     output_format: str = "text"
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        for name, value in (("seed", self.seed), ("trials", self.trials), ("delta grid steps", self.delta_grid.steps)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")

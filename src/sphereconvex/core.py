@@ -41,6 +41,8 @@ def _as_unit_vector(v) -> np.ndarray:
         w = np.asarray(v, dtype=float)
     except OverflowError:  # an integer beyond float64
         raise DomainError("coordinate overflows float64") from None
+    except (TypeError, ValueError) as exc:  # a non-numeric or ragged coordinate
+        raise DomainError(f"coordinates are not numbers: {exc}") from None
     if w.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -89,9 +91,12 @@ class SpherePoint:
 
     @classmethod
     def from_lonlat(cls, lon_deg: float, lat_deg: float) -> "SpherePoint":
-        lon = math.radians(lon_deg)
-        lat = math.radians(lat_deg)
-        return cls((math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)))
+        try:
+            lon, lat = math.radians(float(lon_deg)), math.radians(float(lat_deg))
+            v = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+        except (TypeError, ValueError, OverflowError) as exc:  # not a number, infinite, or beyond float64
+            raise DomainError(f"longitude and latitude must be finite numbers: {exc}") from None
+        return cls(v)
 
     def to_lonlat(self) -> tuple[float, float]:
         """(longitude, latitude) in degrees."""
@@ -104,7 +109,7 @@ class SpherePoint:
     def from_json(cls, obj) -> "SpherePoint":
         """Accept either [x, y, z] or {"lon_deg": ..., "lat_deg": ...}."""
         if isinstance(obj, dict):
-            return cls.from_lonlat(float(obj["lon_deg"]), float(obj["lat_deg"]))
+            return cls.from_lonlat(obj["lon_deg"], obj["lat_deg"])
         return cls(obj)
 
     def tolist(self) -> list[float]:

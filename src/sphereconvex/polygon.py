@@ -48,6 +48,9 @@ EPS_ANGLE = 1e-9
 # the diameter by more than ~1e-10.
 _ARC_SLACK = 1e-10
 
+# Inclusive range of the number of cap samples behind each random polygon.
+NUM_POINTS_RANGE = (5, 50)
+
 VERTEX_VERTEX = "vertex-vertex"
 VERTEX_EDGE = "vertex-edge"
 
@@ -101,16 +104,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _normals_of(V: np.ndarray) -> np.ndarray:
-    return vecmath.unit(vecmath.cross(V, np.roll(V, -1, axis=0)))
-
-
-def _turns_of(V: np.ndarray, N: np.ndarray) -> np.ndarray:
-    """Turn from N_{i-1} to N_i about V_i, positive to the left: pi - interior angle."""
-    Np = np.roll(N, 1, axis=0)
-    return np.arctan2(np.sum(vecmath.cross(Np, N) * V, axis=1), np.sum(Np * N, axis=1))
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class SphericalPolygon:
     """Ordered vertex cycle of a convex spherical polygon.
@@ -162,7 +155,7 @@ class SphericalPolygon:
 
     @cached_property
     def _edge_normals(self) -> np.ndarray:
-        return _frozen(_normals_of(self._varr))
+        return _frozen(vecmath.unit(vecmath.cross(self._varr, np.roll(self._varr, -1, axis=0))))
 
     @cached_property
     def _edge_lengths(self) -> np.ndarray:
@@ -171,7 +164,10 @@ class SphericalPolygon:
 
     @cached_property
     def _turns(self) -> np.ndarray:
-        return _frozen(_turns_of(self._varr, self._edge_normals))
+        """Turn from N_{i-1} to N_i about V_i, positive to the left: pi - interior angle."""
+        N = self._edge_normals
+        Np = np.roll(N, 1, axis=0)
+        return _frozen(np.arctan2(np.sum(vecmath.cross(Np, N) * self._varr, axis=1), np.sum(Np * N, axis=1)))
 
     @cached_property
     def _extreme(self) -> np.ndarray:
@@ -187,7 +183,7 @@ class SphericalPolygon:
         shape of data."""
         try:
             V = _as_unit_rows([SpherePoint.from_json(v) for v in obj["vertices"]])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidPolygon(f"malformed polygon data: {type(exc).__name__}: {exc}") from exc
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
@@ -218,9 +214,9 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     Takes an (n, 3) array or a sequence of SpherePoints or 3-sequences, each
     row checked as SpherePoint checks it.  Projects gnomonically to the
     tangent plane at a hemisphere center, takes the planar hull there, and
-    maps the hull ring back.  Vertices whose interior angle is within
-    EPS_ANGLE of pi (collinear survivors of the planar hull) are absorbed
-    into their edges.
+    maps the hull ring back.  Near-duplicate neighbours and the vertices its
+    polygon finds not extreme (interior angle within EPS_ANGLE of pi) are
+    dropped until every vertex is extreme.
     """
     arr = _as_unit_rows(points)
     if arr.shape[0] < 3:
@@ -232,22 +228,20 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
         hull = _PlanarHull(np.stack([(arr @ e1) / d, (arr @ e2) / d], axis=-1))
     except QhullError as exc:
         raise DegenerateHull("points are collinear in the chart (one great circle)") from exc
-    ring = _absorb_flat_vertices(arr[hull.vertices])  # counterclockwise in the chart
-    if ring.shape[0] < 3:
-        raise DegenerateHull("hull collapsed to fewer than 3 vertices")
-    return SphericalPolygon(ring, SpherePoint(center))
-
-
-def _absorb_flat_vertices(ring: np.ndarray) -> np.ndarray:
-    """Drop duplicate-adjacent vertices and vertices that do not turn left."""
+    c = SpherePoint(center)
+    ring = arr[hull.vertices]  # counterclockwise in the chart
     while ring.shape[0] >= 3:
         keep = vecmath.ang(ring, np.roll(ring, -1, axis=0)) > EPS_ANTIPODE
         if np.all(keep):
-            keep = _turns_of(ring, _normals_of(ring)) > EPS_ANGLE
-            if np.all(keep):
+            try:
+                P = SphericalPolygon(ring, c)
+            except InvalidPolygon:  # a sliver: its ends turn by pi and the rest is flat
                 break
+            if np.all(P._extreme):
+                return P
+            keep = P._extreme
         ring = ring[keep]
-    return ring
+    raise DegenerateHull("hull collapsed to fewer than 3 vertices")
 
 
 def contains(P: SphericalPolygon, p: SpherePoint, tol: float = EPS_ON) -> bool:
@@ -377,24 +371,23 @@ def random_polygon(
     stream: int = 0,
     cap_radius_range: tuple[float, float] = (math.pi / 4 + 0.05, math.pi / 2 - 0.05),
     diameter_range: tuple[float, float] = (math.pi / 2 + 1e-4, math.pi - 1e-4),
-    num_points_range: tuple[int, int] = (5, 50),
     max_attempts: int = 1000,
 ) -> tuple[SphericalPolygon, DiameterWitness]:
     """Seeded random convex polygon with boundary diameter in a target range.
 
     Draws a cap center uniformly on the sphere, a cap radius uniformly from
-    cap_radius_range, and N points uniformly in the cap, then keeps the hull
-    if its boundary diameter falls inside diameter_range (redrawing
-    otherwise).  The generator is PCG64 keyed by SeedSequence([seed, stream,
-    index]), so trial `index` of a stream is reproducible in isolation and
-    across machines; `stream` separates independent trial families sharing
-    one seed.
+    cap_radius_range, and N points uniformly in the cap, N uniform in
+    NUM_POINTS_RANGE; then keeps the hull if its boundary diameter falls
+    inside diameter_range (redrawing otherwise).  The generator is PCG64
+    keyed by SeedSequence([seed, stream, index]), so trial `index` of a stream
+    is reproducible in isolation and across machines; `stream` separates
+    independent trial families sharing one seed.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, index])))
     for _ in range(max_attempts):
         center = _random_unit(rng)
         radius = rng.uniform(*cap_radius_range)
-        count = int(rng.integers(num_points_range[0], num_points_range[1] + 1))
+        count = int(rng.integers(NUM_POINTS_RANGE[0], NUM_POINTS_RANGE[1] + 1))
         try:
             P = convex_hull(_sample_cap(rng, center, radius, count))
         except (DegenerateHull, NoHemisphere, TooFewPoints):

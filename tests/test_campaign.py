@@ -149,6 +149,11 @@ class TestConfigValidation:
             {"output_format": "xml"},
             {"tolerance": math.inf},
             {"tolerance": math.nan},
+            {"trials": 2.5},
+            {"trials": True},
+            {"seed": True},
+            {"seed": 7.0},
+            {"delta_grid": DeltaGrid(steps=2.5)},
         ],
     )
     def test_rejected(self, kwargs):

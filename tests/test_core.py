@@ -61,6 +61,22 @@ class TestSpherePoint:
         with pytest.raises(DomainError, match="overflows"):
             convex_hull([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [10**400, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SpherePoint(("x", 0, 0)),
+            lambda: SpherePoint(([1, 2], 0, 0)),
+            lambda: GreatCircle(("x", 0, 0)),
+            lambda: SpherePoint.from_json({"lon_deg": 10**400, "lat_deg": 0}),
+            lambda: SpherePoint.from_json({"lon_deg": 0, "lat_deg": "x"}),
+            lambda: SpherePoint.from_lonlat(math.inf, 0.0),
+        ],
+        ids=["non-numeric", "ragged", "non-numeric-circle", "overflowing-longitude", "non-numeric-latitude", "infinite-longitude"],
+    )
+    def test_malformed_input_is_domain_error(self, make):
+        with pytest.raises(DomainError):
+            make()
+
     def test_vector_is_read_only(self):
         p = SpherePoint((0.0, 0.0, 1.0))
         with pytest.raises(ValueError):

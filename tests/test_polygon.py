@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphereconvex import (
+    EPS_ANTIPODE,
     DegenerateHull,
     DiameterOutOfRange,
     DomainError,
@@ -214,6 +215,56 @@ class TestConvexHull:
             return  # genuinely not in one open hemisphere; also acceptable
         for p in pts:
             assert contains(P, p)
+
+    @staticmethod
+    def near_duplicate_inputs():
+        """Cap samples plus a point 1e-10 or 1e-12 rad from one hull vertex."""
+        rng = np.random.default_rng(5)
+        for k in range(20):
+            pts = np.array([p.v for p in cap_points(100 + k, 20, 1.0)])
+            v = convex_hull(pts)._varr[k % 4]
+            t = np.cross(v, rng.normal(size=3))
+            t /= np.linalg.norm(t)
+            for eps in (1e-10, 1e-12):
+                yield np.vstack([pts, math.cos(eps) * v + math.sin(eps) * t])
+
+    @staticmethod
+    def chord_inputs():
+        """Ten points on each side of a chart quadrilateral, off the chords by
+        1e-13 of their length, at chart scales 1 to 1e4."""
+        rng = np.random.default_rng(6)
+        for scale in (1.0, 1e2, 1e4):
+            for _ in range(5):
+                corners = rng.uniform(-1.0, 1.0, size=(4, 2))
+                mid = corners.mean(axis=0)
+                corners = corners[np.argsort(np.arctan2(corners[:, 1] - mid[1], corners[:, 0] - mid[0]))]
+                rows = []
+                for a in range(4):
+                    p, q = corners[a], corners[(a + 1) % 4]
+                    off = np.array([q[1] - p[1], p[0] - q[0]])
+                    t = rng.uniform(size=(10, 1))
+                    rows.append(p + t * (q - p) + 1e-13 * rng.normal(size=(10, 1)) * off)
+                xy = scale * np.vstack(rows)
+                yield np.column_stack([xy, np.ones(len(xy))])
+
+    @pytest.mark.parametrize("family", ["near_duplicate_inputs", "chord_inputs"])
+    def test_hull_keeps_only_extreme_vertices(self, family):
+        # near-duplicate neighbours are dropped and flat vertices absorbed, so
+        # every hull vertex turns and every edge is a proper arc
+        for pts in getattr(self, family)():
+            P = convex_hull(pts)
+            assert np.all(P._extreme)
+            assert np.all(P._edge_lengths > EPS_ANTIPODE)
+            for p in pts:
+                assert contains(P, SpherePoint(p), 1e-9)
+
+    @pytest.mark.parametrize("height", [1e-11, 1e-13, 1e-14])
+    def test_sliver_is_degenerate(self, height):
+        # qhull keeps these triangles and quadrilaterals, whose ends have
+        # interior angles down to 1e-14: a segment, not a polygon
+        for xy in ([[-1.0, 0.0], [1.0, 0.0], [0.0, height]], [[-0.5, 0.2], [0.5, 0.2], [0.1, 0.2 + height], [-0.2, 0.2 - height]]):
+            with pytest.raises(DegenerateHull, match="fewer than 3 vertices"):
+                convex_hull(np.column_stack([xy, np.ones(len(xy))]))
 
 
 def as_points_and_array(points):

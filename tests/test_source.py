@@ -7,7 +7,8 @@ import pytest
 
 import sphereconvex
 
-MODULES = sorted(p for p in Path(sphereconvex.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(sphereconvex.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -28,3 +29,45 @@ def test_no_unused_imports(path):
     # __init__.py imports names to re-export them; every other module
     # imports a name only to use it.
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level `_x` names (not dunders) bound by def, class or assignment."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in the module."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+TREES = {p.name: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
+
+
+@pytest.mark.parametrize("name", sorted(TREES), ids=str)
+def test_no_unused_private_names(name):
+    # a private helper is there for some other code of the library; one that
+    # nothing reads any more is dead
+    used = set().union(*(_used_names(tree) for tree in TREES.values()))
+    defined = _private_definitions(TREES[name])
+    assert [f"{n} (line {line})" for n, line in defined.items() if n not in used] == []
