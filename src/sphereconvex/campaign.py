@@ -34,6 +34,7 @@ from .polygon import (
     boundary_diameter,
     extreme_diameter,
     random_polygon,
+    random_polygons,
     regular_triangle,
 )
 from .quad import check_identities, construct_quad, phi, phi_inverse_delta, solve_quad
@@ -46,12 +47,19 @@ LUNE_SAMPLES = 200
 QUAD_GRID_STEPS = 20
 QUAD_GRID_RANGE = (0.05, math.pi / 2 - 0.05)
 
-# Monte Carlo trials per chunk the pool hands to a worker process.
+# Monte Carlo trials per chunk the pool hands to a worker process, drawn
+# there as one batch.
 TRIAL_CHUNK = 100
 
 # Stream tags for per-trial PCG64 substreams.
 STREAM_WIDE = 0  # diameter in (pi/2, pi)
 STREAM_SMALL = 1  # diameter at most pi/2
+
+# `random_polygon` ranges of each stream, beyond its defaults.
+STREAM_RANGES = {
+    STREAM_WIDE: {},
+    STREAM_SMALL: {"cap_radius_range": (0.05, math.pi / 4 - 0.01), "diameter_range": (1e-6, math.pi / 2)},
+}
 
 
 @dataclass(frozen=True)
@@ -176,17 +184,17 @@ class TrialResult:
     ratio: float
 
 
+def _bound_row(diameter: float, extreme: float) -> tuple[float, float]:
+    """Margin over the bound 2*phi(diameter), and the extreme-to-full ratio."""
+    return extreme - 2.0 * phi(diameter), extreme / diameter
+
+
 def wide_trial(seed: int, index: int) -> TrialResult:
     """Regenerate trial `index` of the wide-diameter Monte Carlo stream."""
     P, w = random_polygon(seed, index, stream=STREAM_WIDE)
     ed = extreme_diameter(P)
-    return TrialResult(
-        polygon=P,
-        witness=w,
-        extreme_diam=ed,
-        margin=ed - 2.0 * phi(w.value),
-        ratio=ed / w.value,
-    )
+    margin, ratio = _bound_row(w.value, ed)
+    return TrialResult(polygon=P, witness=w, extreme_diam=ed, margin=margin, ratio=ratio)
 
 
 def small_trial(seed: int, index: int) -> tuple[SphericalPolygon, float, float]:
@@ -195,54 +203,57 @@ def small_trial(seed: int, index: int) -> tuple[SphericalPolygon, float, float]:
     Returns (polygon, boundary diameter, extreme diameter); for diameters at
     most pi/2 the two diameters agree.
     """
-    P, w = random_polygon(
-        seed,
-        index,
-        stream=STREAM_SMALL,
-        cap_radius_range=(0.05, math.pi / 4 - 0.01),
-        diameter_range=(1e-6, math.pi / 2),
-    )
+    P, w = random_polygon(seed, index, stream=STREAM_SMALL, **STREAM_RANGES[STREAM_SMALL])
     return P, w.value, extreme_diameter(P)
 
 
-def trial_row(seed: int, stream: int, index: int) -> tuple:
-    """Scalar row of trial `index` of one stream.
+def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
+    """Scalar rows of trials start, ..., stop - 1 of one stream, drawn as one
+    `random_polygons` batch.
 
-    Wide rows are (margin, ratio, diameter, extreme diameter, vertex count);
-    small rows are (boundary diameter, extreme diameter).  Only scalars are
-    kept, so no polygon outlives its trial.
+    Wide rows are (margin, ratio, diameter, extreme diameter, vertex count),
+    as `wide_trial` gives them; small rows are (boundary diameter, extreme
+    diameter), as `small_trial` gives them.  Only scalars are kept, so no
+    polygon outlives its chunk.
     """
+    T = random_polygons(seed, range(start, stop), stream=stream, **STREAM_RANGES[stream])
+    rows = zip(T.diameter.tolist(), T.extreme.tolist(), T.vertices.tolist())
     if stream == STREAM_WIDE:
-        t = wide_trial(seed, index)
-        return t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0]
-    return small_trial(seed, index)[1:]
+        return [(*_bound_row(d, e), d, e, n) for d, e, n in rows]
+    return [(d, e) for d, e, _ in rows]
 
 
 def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """`trial_row` arrays of the first `count` trials of each (stream, count).
+    """`trial_chunk` rows of the first `count` trials of each (stream, count).
 
-    The trials are mapped in chunks of TRIAL_CHUNK over a forked process pool
-    with one worker per CPU in this process's affinity mask.  With one CPU,
-    without the fork start method, or where forking is unsafe (a daemonic
-    process, other running threads), they run in this process.  Every trial
-    draws from its own PCG64 stream and the rows come back in input order,
-    so they do not depend on the worker count.
+    Each stream is cut into chunks of TRIAL_CHUNK consecutive trials, mapped
+    over a forked process pool with one worker per CPU in this process's
+    affinity mask.  With one CPU, without the fork start method, or where
+    forking is unsafe (a daemonic process, other running threads), they run
+    in this process.  Every trial draws from its own PCG64 stream and the
+    rows come back in input order, so they depend neither on the worker
+    count nor on the chunk size.
     """
     import multiprocessing  # here, so that importing the package does not load it
 
-    tasks = [(seed, stream, index) for stream, count in counts for index in range(count)]
+    tasks = [
+        (seed, stream, start, min(start + TRIAL_CHUNK, count))
+        for stream, count in counts
+        for start in range(0, count, TRIAL_CHUNK)
+    ]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = (
         "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
         and threading.active_count() == 1
     )
-    workers = min(cpus, math.ceil(len(tasks) / TRIAL_CHUNK)) if can_fork else 1
+    workers = min(cpus, len(tasks)) if can_fork else 1
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = pool.starmap(trial_row, tasks, chunksize=TRIAL_CHUNK)
+            chunks = pool.starmap(trial_chunk, tasks, chunksize=1)
     else:
-        rows = [trial_row(*task) for task in tasks]
+        chunks = [trial_chunk(*task) for task in tasks]
+    rows = [row for chunk in chunks for row in chunk]
     ends = np.cumsum([count for _, count in counts])
     return [np.array(rows[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
 

@@ -5,7 +5,7 @@ everything here is safe to share between threads.  Distances and angles are
 in radians throughout.
 
 The vectors behind the values (``SpherePoint.v``, ``GreatCircle.n``, and the
-vertex and cached arrays of ``SphericalPolygon``) are read-only ndarrays.  Code that
+vertex array and the arrays ``SphericalPolygon`` keeps with it) are read-only ndarrays.  Code that
 passes one to a routine that needs a writeable buffer, such as scipy 1.17's
 ``Rotation.apply``, must pass a copy: ``np.array(p.v)``.
 """
@@ -36,7 +36,20 @@ EPS_ON = 1e-10
 EPS_ANTIPODE = 1e-9
 
 
+def _non_number(v, depth: int = 2) -> bool:
+    """Whether v holds a string, bytes or a boolean where a coordinate belongs;
+    numpy would read "1" and True as the number 1.0.  Looks `depth` sequence
+    levels deep, as deep as a coordinate sits in a list of rows."""
+    if isinstance(v, np.ndarray):
+        return any(_non_number(x, 0) for x in v.flat) if v.dtype.kind == "O" else v.dtype.kind not in "iuf"
+    if isinstance(v, (list, tuple)):
+        return depth > 0 and any(_non_number(x, depth - 1) for x in v)
+    return isinstance(v, (str, bytes, bool, np.bool_))
+
+
 def _as_unit_vector(v) -> np.ndarray:
+    if _non_number(v):
+        raise DomainError(f"coordinates are not numbers: {v!r}")
     try:
         w = np.asarray(v, dtype=float)
     except OverflowError:  # an integer beyond float64
@@ -71,7 +84,7 @@ def _as_unit_rows(points) -> np.ndarray:
     if not isinstance(points, np.ndarray):
         points = [p.v if isinstance(p, SpherePoint) else p for p in points]
     try:
-        arr = np.array(points, dtype=float)
+        arr = np.empty(0) if _non_number(points) else np.array(points, dtype=float)
     except (ValueError, OverflowError):  # ragged, non-numeric or too large rows: the row checks say which
         arr = np.empty(0)
     with np.errstate(over="ignore"):  # an overflowing norm fails the test; its row check raises
@@ -91,6 +104,8 @@ class SpherePoint:
 
     @classmethod
     def from_lonlat(cls, lon_deg: float, lat_deg: float) -> "SpherePoint":
+        if _non_number(lon_deg) or _non_number(lat_deg):
+            raise DomainError(f"longitude and latitude must be numbers, got {lon_deg!r} and {lat_deg!r}")
         try:
             lon, lat = math.radians(float(lon_deg)), math.radians(float(lat_deg))
             v = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))

@@ -11,14 +11,24 @@ The boundary diameter is computed by exact candidate enumeration rather than
 sampling: for diameters above pi/2 one point of the farthest boundary pair
 may sit in the interior of an edge, where the connecting geodesic meets that
 edge orthogonally.
+
+Every stage works on a stack of K rings at once: a (K, m, 3) array in which
+ring k repeats its n_k vertices cyclically up to the width m, so each padded
+row is a copy of a real vertex, edge or turn, and any, all, min and max over
+a padded row are those of the ring.  Sums and argmax ties take the ring's own
+length and mask.  Products go through stacked np.matmul, which gives each
+ring the bits of its own (n, 3) product; so every ring of a stack gets the
+values it gets alone, and the scalar functions are the stacked ones at K = 1.
+Only qhull, the linear-programming fallback and the random draws run once
+per ring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull as _PlanarHull
@@ -54,49 +64,106 @@ NUM_POINTS_RANGE = (5, 50)
 VERTEX_VERTEX = "vertex-vertex"
 VERTEX_EDGE = "vertex-edge"
 
+# What a vertex cycle fails, in the order the checks run.
+_FAULTS = (
+    "a vertex is not strictly inside the open hemisphere",
+    "consecutive vertices equal or antipodal",
+    "zero interior angle",
+    "vertices are not in convex counterclockwise order",
+    "vertex cycle does not wind once around the polygon",
+)
+
 
 def _chart_basis(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-handed orthonormal tangent basis at center (e1 x e2 == center)."""
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(center)))] = 1.0
+    """Right-handed orthonormal tangent bases at the rows of center (e1 x e2 == center)."""
+    axis = np.eye(3)[np.argmin(np.abs(center), axis=-1)]
     e1 = vecmath.unit(vecmath.cross(axis, center))
     e2 = vecmath.cross(center, e1)
     return e1, e2
 
 
-def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
-    """A unit vector with strictly positive dot against every input point.
+def _dots(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(K, m) products A[k] @ c[k] of a (K, m, 3) stack with one vector per ring."""
+    return np.matmul(A, c[:, :, None])[:, :, 0]
 
-    Tries the normalized vector sum first; if that fails, solves the linear
-    program max t s.t. pts @ c >= t, |c_i| <= 1, which certifies whether an
-    open hemisphere exists.  Raises NoHemisphere when it does not (or when
-    the margin cannot beat EPS_HEMI).
+
+def _shift(n: np.ndarray, m: int, s: int) -> np.ndarray:
+    """(K, m) indices of the vertex s places on from each row of a padded stack."""
+    return (np.arange(m) + s) % n[:, None]
+
+
+def _take(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx[k] of each A[k]."""
+    return A[np.arange(len(A))[:, None], idx]
+
+
+def _cyclic(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack of the arrays in parts, each repeated cyclically to the longest length, and their lengths."""
+    n = np.array([len(a) for a in parts])
+    off = np.cumsum(n) - n
+    return np.concatenate(parts)[off[:, None] + np.arange(n.max()) % n[:, None]], n
+
+
+class _Rings(NamedTuple):
+    """A padded stack of K vertex cycles: the vertices V (K, m, 3), their counts
+    n, hemisphere centers c (K, 3), edge lengths L (K, m) from V_i to V_{i+1},
+    unit edge normals N (K, m, 3) and signed turns t (K, m)."""
+
+    V: np.ndarray
+    n: np.ndarray
+    c: np.ndarray
+    L: np.ndarray
+    N: np.ndarray
+    t: np.ndarray
+
+
+def _rings(V: np.ndarray, n: np.ndarray, c: np.ndarray) -> _Rings:
+    """The edges and turns of each vertex cycle in a padded stack.
+
+    The turn at V_i, from N_{i-1} to N_i and positive to the left, is
+    pi minus the interior angle.
     """
-    s = pts.sum(axis=0)
-    ns = float(np.linalg.norm(s))
-    if ns > 1e-12:
-        c = s / ns
-        if float(np.min(pts @ c)) > EPS_HEMI:
-            return c
-    from scipy.optimize import linprog  # costly import; uniform caps never get here
-    n = pts.shape[0]
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=np.hstack([-pts, np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        bounds=[(-1.0, 1.0)] * 3 + [(None, None)],
-        method="highs",
+    m = V.shape[1]
+    B = _take(V, _shift(n, m, 1))
+    with np.errstate(invalid="ignore"):  # a zero edge has no normal; its cycle fails on its length
+        N = vecmath.unit(vecmath.cross(V, B))
+    Np = _take(N, _shift(n, m, -1))
+    t = np.arctan2(np.sum(vecmath.cross(Np, N) * V, axis=-1), np.sum(Np * N, axis=-1))
+    return _Rings(V, n, c, vecmath.ang(V, B), N, t)
+
+
+def _ring_sums(A: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """np.sum of each A[k, :n[k]], by ring length: pairwise summation groups by length."""
+    out = np.empty(len(n))
+    for length in np.unique(n):
+        rows = n == length
+        out[rows] = A[rows, :length].sum(axis=1)
+    return out
+
+
+def _ring_faults(R: _Rings) -> np.ndarray:
+    """Index into _FAULTS of the first check each cycle fails; -1 for a polygon.
+
+    A reversal along an edge turns by +pi or -pi, as rounding falls: a zero
+    interior angle either way.  By Gauss-Bonnet, turns plus area make 2*pi iff
+    the cycle winds once.  The area is the fan of signed triangles
+    (c, V_i, V_{i+1}); c.(V_i x V_{i+1}) is sin(L_i) c.N_i, and atan2's x > 0 as
+    every vertex is in c's hemisphere.
+    """
+    Vc = _dots(R.V, R.c)
+    fan = 2.0 * np.arctan2(
+        np.sin(R.L) * _dots(R.N, R.c), 1.0 + Vc + _take(Vc, _shift(R.n, Vc.shape[1], 1)) + np.cos(R.L)
     )
-    if not res.success or res.x[3] <= 1e-9:
-        raise NoHemisphere("no open hemisphere strictly contains all points")
-    c = res.x[:3]
-    nc = float(np.linalg.norm(c))
-    if nc < 1e-12:
-        raise NoHemisphere("no open hemisphere strictly contains all points")
-    c = c / nc
-    if float(np.min(pts @ c)) <= EPS_HEMI:
-        raise NoHemisphere("hemisphere containment margin below EPS_HEMI")
-    return c
+    fails = np.stack(
+        [
+            Vc.min(axis=1) <= EPS_HEMI,
+            np.any((R.L <= EPS_ANTIPODE) | (R.L >= math.pi - EPS_ANTIPODE), axis=1),
+            np.any(np.abs(R.t) >= math.pi - 1e-12, axis=1),
+            np.any(R.t < -1e-9, axis=1),
+            np.abs(_ring_sums(R.t, R.n) + _ring_sums(fan, R.n) - 2.0 * math.pi) > 1e-6,
+        ]
+    )
+    return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -117,61 +184,51 @@ class SphericalPolygon:
     Takes the vertices as an (n, 3) array or a sequence of SpherePoints or
     3-sequences, each row checked as SpherePoint checks it, and keeps them as
     a read-only (n, 3) array; `vertices` wraps its rows in SpherePoints on
-    first access.
+    first access.  The edge lengths, edge normals and turns that validate the
+    cycle are kept beside it as read-only arrays.
     """
 
     _varr: np.ndarray
     hemisphere_center: SpherePoint
+    _edge_lengths: np.ndarray = field(repr=False)
+    _edge_normals: np.ndarray = field(repr=False)
+    _turns: np.ndarray = field(repr=False)
+    _extreme: np.ndarray = field(repr=False)
 
     def __init__(self, vertices: np.ndarray | Sequence[SpherePoint], hemisphere_center: SpherePoint):
-        V = _frozen(_as_unit_rows(vertices))
-        object.__setattr__(self, "_varr", V)
-        object.__setattr__(self, "hemisphere_center", hemisphere_center)
+        V = _as_unit_rows(vertices)
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
-        c = hemisphere_center.v
-        Vc = V @ c
-        if float(np.min(Vc)) <= EPS_HEMI:
-            raise InvalidPolygon("a vertex is not strictly inside the open hemisphere")
-        L = self._edge_lengths
-        if np.any(L <= EPS_ANTIPODE) or np.any(L >= math.pi - EPS_ANTIPODE):
-            raise InvalidPolygon("consecutive vertices equal or antipodal")
-        t = self._turns
-        # a reversal along an edge turns by +pi or -pi, as rounding falls
-        if np.any(np.abs(t) >= math.pi - 1e-12):
-            raise InvalidPolygon("zero interior angle")
-        if np.any(t < -1e-9):
-            raise InvalidPolygon("vertices are not in convex counterclockwise order")
-        # Gauss-Bonnet: turns plus area make 2*pi iff the cycle winds once.  The
-        # area is the fan of signed triangles (c, V_i, V_{i+1}); c.(V_i x V_{i+1})
-        # is sin(L_i) c.N_i, and atan2's x > 0 as every vertex is in c's hemisphere.
-        fan = 2.0 * np.arctan2(np.sin(L) * (self._edge_normals @ c), 1.0 + Vc + np.roll(Vc, -1) + np.cos(L))
-        if abs(float(np.sum(t) + np.sum(fan)) - 2.0 * math.pi) > 1e-6:
-            raise InvalidPolygon("vertex cycle does not wind once around the polygon")
+        R = _rings(V[None], np.array([V.shape[0]]), hemisphere_center.v[None])
+        fault = _ring_faults(R)[0]
+        if fault >= 0:
+            raise InvalidPolygon(_FAULTS[fault])
+        self._fill(R, 0, hemisphere_center)
+
+    @classmethod
+    def _of(cls, R: _Rings, k: int) -> "SphericalPolygon":
+        """Ring k of a stack that passed _ring_faults, as a polygon."""
+        P = object.__new__(cls)
+        P._fill(R, k, SpherePoint(R.c[k]))
+        return P
+
+    def _fill(self, R: _Rings, k: int, hemisphere_center: SpherePoint) -> None:
+        n = R.n[k]
+        object.__setattr__(self, "hemisphere_center", hemisphere_center)
+        for name, a in (("_varr", R.V), ("_edge_lengths", R.L), ("_edge_normals", R.N), ("_turns", R.t)):
+            object.__setattr__(self, name, _frozen(a[k, :n]))
+        object.__setattr__(self, "_extreme", _frozen(self._turns > EPS_ANGLE))
+
+    def _as_stack(self) -> _Rings:
+        """This polygon as a stack of one."""
+        return _Rings(
+            *(a[None] for a in (self._varr, np.array(self._varr.shape[0]), self.hemisphere_center.v)),
+            *(a[None] for a in (self._edge_lengths, self._edge_normals, self._turns)),
+        )
 
     @cached_property
     def vertices(self) -> tuple[SpherePoint, ...]:
         return tuple(SpherePoint(v) for v in self._varr)
-
-    @cached_property
-    def _edge_normals(self) -> np.ndarray:
-        return _frozen(vecmath.unit(vecmath.cross(self._varr, np.roll(self._varr, -1, axis=0))))
-
-    @cached_property
-    def _edge_lengths(self) -> np.ndarray:
-        V = self._varr
-        return _frozen(vecmath.ang(V, np.roll(V, -1, axis=0)))
-
-    @cached_property
-    def _turns(self) -> np.ndarray:
-        """Turn from N_{i-1} to N_i about V_i, positive to the left: pi - interior angle."""
-        N = self._edge_normals
-        Np = np.roll(N, 1, axis=0)
-        return _frozen(np.arctan2(np.sum(vecmath.cross(Np, N) * self._varr, axis=1), np.sum(Np * N, axis=1)))
-
-    @cached_property
-    def _extreme(self) -> np.ndarray:
-        return _frozen(self._turns > EPS_ANGLE)
 
     def to_dict(self) -> dict:
         return {"vertices": self._varr.tolist()}
@@ -187,7 +244,10 @@ class SphericalPolygon:
             raise InvalidPolygon(f"malformed polygon data: {type(exc).__name__}: {exc}") from exc
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
-        return cls(V, SpherePoint(_hemisphere_center(V)))
+        c, errors = _hemisphere_centers(V[None], np.array([V.shape[0]]))
+        if errors[0] is not None:
+            raise errors[0]
+        return cls(V, SpherePoint(c[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +268,124 @@ class DiameterWitness:
         }
 
 
+def _lp_center(pts: np.ndarray) -> np.ndarray:
+    """Center of the open hemisphere that holds pts with the largest margin.
+
+    Solves the linear program max t s.t. pts @ c >= t, |c_i| <= 1, which
+    certifies whether an open hemisphere exists.  Raises NoHemisphere when it
+    does not (or when the margin cannot beat EPS_HEMI).
+    """
+    from scipy.optimize import linprog  # costly import; uniform caps rarely get here
+    n = pts.shape[0]
+    res = linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([-pts, np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        bounds=[(-1.0, 1.0)] * 3 + [(None, None)],
+        method="highs",
+    )
+    if not res.success or res.x[3] <= 1e-9:
+        raise NoHemisphere("no open hemisphere strictly contains all points")
+    c = res.x[:3]
+    nc = float(np.linalg.norm(c))
+    if nc < 1e-12:
+        raise NoHemisphere("no open hemisphere strictly contains all points")
+    c = c / nc
+    if float(np.min(pts @ c)) <= EPS_HEMI:
+        raise NoHemisphere("hemisphere containment margin below EPS_HEMI")
+    return c
+
+
+def _hemisphere_centers(P: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, list]:
+    """A unit vector with dot above EPS_HEMI against every point of each cloud.
+
+    Tries each cloud's normalized vector sum first and falls back to
+    `_lp_center`.  Returns the (K, 3) centers and, per cloud, the NoHemisphere
+    it raised or None.
+    """
+    s = np.where((np.arange(P.shape[1]) < n[:, None])[..., None], P, 0.0).sum(axis=1)
+    ns = np.sqrt(np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0])  # each np.linalg.norm(s[k])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = s / ns[:, None]
+        fall_back = ~((ns > 1e-12) & (_dots(P, c).min(axis=1) > EPS_HEMI))
+    errors = [None] * len(n)
+    for k in np.flatnonzero(fall_back):
+        try:
+            c[k] = _lp_center(P[k, : n[k]])
+        except NoHemisphere as exc:
+            errors[k] = exc
+    return c, errors
+
+
+def _extreme_rings(R: _Rings) -> tuple[_Rings, np.ndarray]:
+    """The polygons of extreme vertices left from counterclockwise hull rings.
+
+    Drops the vertices that end a near-duplicate edge (length at most
+    EPS_ANTIPODE), or in a ring without one, the vertices that do not turn,
+    until every vertex turns.  A ring that fails validation first (a sliver,
+    whose ends turn by pi and the rest is flat) or falls below 3 vertices
+    has collapsed.  Returns the final rings, at the input width, and whether
+    each is a polygon.
+    """
+    K, m = R.V.shape[:2]
+    out = R  # the rings finished in a later round overwrite their rows
+    ok = np.zeros(K, dtype=bool)
+    live = np.arange(K)
+    while live.size:
+        dup = R.L <= EPS_ANTIPODE
+        has_dup = dup.any(axis=1)
+        ext = R.t > EPS_ANGLE
+        valid = ~has_dup & (_ring_faults(R) < 0)  # a ring with a short edge is filtered, not validated
+        done = valid & ext.all(axis=1)
+        again = has_dup | (valid & ~done)
+        if R is not out:
+            for a, b in zip(out, R):
+                a[live[done]] = b[done]
+        ok[live[done]] = True
+        if not again.any():
+            break
+        keep = np.where(has_dup[:, None], ~dup, ext)[again] & (np.arange(m) < R.n[again][:, None])
+        n = keep.sum(axis=1)
+        order = np.argsort(~keep, axis=1, kind="stable")  # kept vertices first, in ring order
+        V = _take(R.V[again], _take(order, np.arange(m) % np.maximum(n, 1)[:, None]))
+        rows = n >= 3
+        live = live[again][rows]
+        R = _rings(V[rows], n[rows], R.c[again][rows])
+    return out, ok
+
+
+def _hulls(P: np.ndarray, n: np.ndarray) -> tuple[_Rings | None, list]:
+    """Spherical convex hulls of K clouds of at least three unit points.
+
+    P is a padded (K, m, 3) stack of the clouds and n their sizes.  Each
+    cloud is projected gnomonically to the tangent plane at its hemisphere
+    center, its planar hull is taken there, and the hull ring is mapped back
+    and reduced to extreme vertices by `_extreme_rings`.  Returns the hulls
+    of the clouds that have one, in input order (None when no cloud has one),
+    and per cloud the NoHemisphere or DegenerateHull it raised, or None.
+    """
+    c, errors = _hemisphere_centers(P, n)
+    live = np.array([k for k, e in enumerate(errors) if e is None], dtype=int)
+    P, n, c = P[live], n[live], c[live]
+    e1, e2 = _chart_basis(c)
+    d = _dots(P, c)
+    XY = np.stack([_dots(P, e1) / d, _dots(P, e2) / d], axis=-1)
+    rings, hulled = [], []
+    for k in range(len(live)):
+        try:
+            rings.append(_PlanarHull(XY[k, : n[k]]).vertices)  # counterclockwise in the chart
+            hulled.append(k)
+        except QhullError:
+            errors[live[k]] = DegenerateHull("points are collinear in the chart (one great circle)")
+    if not hulled:
+        return None, errors
+    idx, size = _cyclic(rings)
+    R, ok = _extreme_rings(_rings(_take(P[hulled], idx), size, c[hulled]))
+    for k in np.asarray(hulled)[~ok]:
+        errors[live[k]] = DegenerateHull("hull collapsed to fewer than 3 vertices")
+    return _Rings(*(a[ok] for a in R)), errors
+
+
 def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     """Spherical convex hull of at least three points in an open hemisphere.
 
@@ -221,27 +399,10 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     arr = _as_unit_rows(points)
     if arr.shape[0] < 3:
         raise TooFewPoints(f"need at least 3 points, got {arr.shape[0]}")
-    center = _hemisphere_center(arr)
-    e1, e2 = _chart_basis(center)
-    d = arr @ center
-    try:
-        hull = _PlanarHull(np.stack([(arr @ e1) / d, (arr @ e2) / d], axis=-1))
-    except QhullError as exc:
-        raise DegenerateHull("points are collinear in the chart (one great circle)") from exc
-    c = SpherePoint(center)
-    ring = arr[hull.vertices]  # counterclockwise in the chart
-    while ring.shape[0] >= 3:
-        keep = vecmath.ang(ring, np.roll(ring, -1, axis=0)) > EPS_ANTIPODE
-        if np.all(keep):
-            try:
-                P = SphericalPolygon(ring, c)
-            except InvalidPolygon:  # a sliver: its ends turn by pi and the rest is flat
-                break
-            if np.all(P._extreme):
-                return P
-            keep = P._extreme
-        ring = ring[keep]
-    raise DegenerateHull("hull collapsed to fewer than 3 vertices")
+    R, errors = _hulls(arr[None], np.array([arr.shape[0]]))
+    if errors[0] is not None:
+        raise errors[0]
+    return SphericalPolygon._of(R, 0)
 
 
 def contains(P: SphericalPolygon, p: SpherePoint, tol: float = EPS_ON) -> bool:
@@ -256,17 +417,61 @@ def extreme_points(P: SphericalPolygon) -> list[SpherePoint]:
     return [SpherePoint(v) for v in P._varr[P._extreme]]
 
 
+def _pair_angles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows i < j of a padded stack in row-major order, and each ring's (K, pairs) angles between them."""
+    iu, ju = np.triu_indices(V.shape[1], k=1)
+    return iu, ju, vecmath.ang(V[:, iu], V[:, ju])
+
+
+def _farthest(pairs: tuple, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ring, the first pair i < j < n of `_pair_angles` at the largest
+    angle: rows i, rows j and the angle."""
+    iu, ju, G = pairs
+    k = np.where(ju < n[:, None], G, -np.inf).argmax(axis=1)
+    return iu[k], ju[k], G[np.arange(len(k)), k]
+
+
 def extreme_diameter(P: SphericalPolygon) -> float:
     """Largest pairwise distance between extreme points."""
-    return _farthest_pair(P._varr[P._extreme])[2]
+    V = P._varr[P._extreme][None]
+    return float(_farthest(_pair_angles(V), np.array([V.shape[1]]))[2][0])
 
 
-def _farthest_pair(V: np.ndarray) -> tuple[int, int, float]:
-    """Rows i < j of V at the largest distance, first in row-major order."""
-    iu, ju = np.triu_indices(V.shape[0], k=1)
-    G = vecmath.ang(V[iu], V[ju])
-    k = int(np.argmax(G))
-    return int(iu[k]), int(ju[k]), float(G[k])
+def _boundary_diameters(R: _Rings, pairs: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Farthest pair of boundary points of each ring; see `boundary_diameter`.
+
+    Returns the (K,) diameters, whether each is attained vertex-edge, and the
+    (K, 3) witness points p and q.
+    """
+    V, L, N = R.V, R.L, R.N
+    K, m = L.shape
+    valid = np.arange(m) < R.n[:, None]
+    i, j, value = _farthest(pairs, R.n)  # (a) vertex-vertex
+
+    # (b) vertex-edge: farthest point of each edge circle from each vertex
+    W = V[:, :, None, :] - np.matmul(V, N.transpose(0, 2, 1))[..., None] * N[:, None, :, :]  # (ring, vertex, edge, 3)
+    wn = np.linalg.norm(W, axis=-1)
+    far = -W / np.maximum(wn, 1e-300)[..., None]
+    # kept where the vertex is not a pole of the edge circle and far, already
+    # on that circle, lies on the edge arc
+    B = _take(V, _shift(R.n, m, 1))
+    on_arc = vecmath.ang(V[:, None], far) + vecmath.ang(far, B[:, None]) <= L[:, None, :] + _ARC_SLACK
+    ki, vi, ei = np.nonzero((wn > 1e-9) & on_arc & valid[:, :, None] & valid[:, None, :])
+    dist = np.full((K, m * m), -np.inf)
+    dist[ki, vi * m + ei] = vecmath.ang(V[ki, vi], far[ki, vi, ei])
+    kk = np.arange(K)
+    e = dist.argmax(axis=1)  # row-major, the scan order for ties
+    edge = dist[kk, e] > value
+    vi, ei = np.divmod(e, m)
+    p = np.where(edge[:, None], V[kk, vi], V[kk, i])
+    q = np.where(edge[:, None], far[kk, vi, ei], V[kk, j])
+    return np.where(edge, dist[kk, e], value), edge, p, q
+
+
+def _witness(value, edge, p, q) -> DiameterWitness:
+    return DiameterWitness(
+        p=SpherePoint(p), q=SpherePoint(q), value=float(value), attainment=VERTEX_EDGE if edge else VERTEX_VERTEX
+    )
 
 
 def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
@@ -285,28 +490,8 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     Ties resolve to (a) before (b), and within a class to the first pair in
     scan order, so the witness is deterministic.
     """
-    V = P._varr
-    B = np.roll(V, -1, axis=0)
-    N = P._edge_normals
-    L = P._edge_lengths
-
-    i, j, value = _farthest_pair(V)  # (a) vertex-vertex
-
-    # (b) vertex-edge: farthest point of each edge circle from each vertex
-    W = V[:, None, :] - (V @ N.T)[:, :, None] * N[None, :, :]  # (vertex, edge, 3)
-    wn = np.linalg.norm(W, axis=-1)
-    far = -W / np.maximum(wn, 1e-300)[:, :, None]
-    # kept where the vertex is not a pole of the edge circle and far, already
-    # on that circle, lies on the edge arc
-    on_arc = vecmath.ang(V[None, :, :], far) + vecmath.ang(far, B[None, :, :]) <= L + _ARC_SLACK
-    vi, ei = np.nonzero((wn > 1e-9) & on_arc)  # row-major, the scan order for ties
-    if vi.size:
-        dist = vecmath.ang(V[vi], far[vi, ei])
-        k = int(np.argmax(dist))
-        if float(dist[k]) > value:
-            p, q = SpherePoint(V[vi[k]]), SpherePoint(far[vi[k], ei[k]])
-            return DiameterWitness(p=p, q=q, value=float(dist[k]), attainment=VERTEX_EDGE)
-    return DiameterWitness(p=SpherePoint(V[i]), q=SpherePoint(V[j]), value=value, attainment=VERTEX_VERTEX)
+    R = P._as_stack()
+    return _witness(*(a[0] for a in _boundary_diameters(R, _pair_angles(R.V))))
 
 
 def regular_triangle(side: float) -> SphericalPolygon:
@@ -351,50 +536,106 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return np.array([r * math.cos(az), r * math.sin(az), z])
 
 
-def _sample_cap(rng: np.random.Generator, center: np.ndarray, radius: float, count: int) -> np.ndarray:
-    """Uniform-in-area samples of the spherical cap around center."""
+def _draw(rng: np.random.Generator, cap_radius_range: tuple[float, float]) -> tuple:
+    """One attempt's draws: a cap center, 1 - cos of its radius, and the height and azimuth draws of its samples."""
+    center = _random_unit(rng)
+    radius = rng.uniform(*cap_radius_range)
+    count = int(rng.integers(NUM_POINTS_RANGE[0], NUM_POINTS_RANGE[1] + 1))
+    return center, 1.0 - math.cos(radius), rng.uniform(size=count), rng.uniform(0.0, 2.0 * math.pi, size=count)
+
+
+def _sample_caps(center: np.ndarray, sag: np.ndarray, u: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """Uniform-in-area samples of spherical caps: heights 1 - u * sag and azimuths az in each cap's chart."""
     e1, e2 = _chart_basis(center)
-    z = 1.0 - rng.uniform(size=count) * (1.0 - math.cos(radius))
-    az = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    z = 1.0 - u * sag[:, None]
     st = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return (
-        st[:, None] * np.cos(az)[:, None] * e1
-        + st[:, None] * np.sin(az)[:, None] * e2
-        + z[:, None] * center
+        st[..., None] * np.cos(az)[..., None] * e1[:, None]
+        + st[..., None] * np.sin(az)[..., None] * e2[:, None]
+        + z[..., None] * center[:, None]
     )
 
 
-def random_polygon(
+class RandomPolygons(NamedTuple):
+    """Trials of one stream drawn together by `random_polygons`, in index order.
+
+    For each trial: the boundary diameter, whether it is attained
+    vertex-edge, its witness points p and q as (K, 3) arrays, the extreme
+    diameter, the hull vertex count, and the polygon as a (stack, row) pair
+    that `SphericalPolygon._of` turns into a value.
+    """
+
+    diameter: np.ndarray
+    vertex_edge: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    extreme: np.ndarray
+    vertices: np.ndarray
+    polygons: list
+
+
+def random_polygons(
     seed: int,
-    index: int,
+    indices: Sequence[int],
     *,
     stream: int = 0,
     cap_radius_range: tuple[float, float] = (math.pi / 4 + 0.05, math.pi / 2 - 0.05),
     diameter_range: tuple[float, float] = (math.pi / 2 + 1e-4, math.pi - 1e-4),
     max_attempts: int = 1000,
-) -> tuple[SphericalPolygon, DiameterWitness]:
+) -> RandomPolygons:
+    """Trials `indices` of one stream of `random_polygon`, advanced in lockstep.
+
+    Each round, every trial not yet accepted draws one attempt from its own
+    generator; the attempts' cap samples, hulls and diameters are computed
+    as one stack.  A trial is accepted on the first attempt whose hull
+    exists and whose boundary diameter falls inside diameter_range, so its
+    result is the one it gets alone, whatever the other trials are.
+    """
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, i]))) for i in indices]
+    K = len(rngs)
+    diameter, extreme = np.empty(K), np.empty(K)
+    vertex_edge = np.zeros(K, dtype=bool)
+    p, q = np.empty((K, 3)), np.empty((K, 3))
+    vertices = np.zeros(K, dtype=int)
+    polygons = [None] * K
+    todo = np.arange(K)
+    for _ in range(max_attempts):
+        if not todo.size:
+            break
+        center, sag, u, az = zip(*(_draw(rngs[k], cap_radius_range) for k in todo))
+        u, count = _cyclic(u)
+        # cap samples are unit to a few ulps, well inside the EPS_UNIT / 2 that
+        # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly
+        R, errors = _hulls(_sample_caps(np.array(center), np.array(sag), u, _cyclic(az)[0]), count)
+        if R is None:
+            continue
+        hulled = todo[[k for k, e in enumerate(errors) if e is None]]
+        pairs = _pair_angles(R.V)
+        value, edge, wp, wq = _boundary_diameters(R, pairs)
+        hit = (diameter_range[0] < value) & (value < diameter_range[1])
+        done = hulled[hit]
+        diameter[done], vertex_edge[done], p[done], q[done] = value[hit], edge[hit], wp[hit], wq[hit]
+        # every vertex of a hull is extreme: its vertex-vertex diameter is the extreme one
+        extreme[done], vertices[done] = _farthest(pairs, R.n)[2][hit], R.n[hit]
+        for k, row in zip(done, np.flatnonzero(hit)):
+            polygons[k] = (R, row)
+        todo = np.setdiff1d(todo, done)
+    if todo.size:
+        raise SamplingExhausted(f"no polygon with diameter in {diameter_range} after {max_attempts} attempts")
+    return RandomPolygons(diameter, vertex_edge, p, q, extreme, vertices, polygons)
+
+
+def random_polygon(seed: int, index: int, *, stream: int = 0, **ranges) -> tuple[SphericalPolygon, DiameterWitness]:
     """Seeded random convex polygon with boundary diameter in a target range.
 
     Draws a cap center uniformly on the sphere, a cap radius uniformly from
     cap_radius_range, and N points uniformly in the cap, N uniform in
     NUM_POINTS_RANGE; then keeps the hull if its boundary diameter falls
-    inside diameter_range (redrawing otherwise).  The generator is PCG64
-    keyed by SeedSequence([seed, stream, index]), so trial `index` of a stream
-    is reproducible in isolation and across machines; `stream` separates
-    independent trial families sharing one seed.
+    inside diameter_range (redrawing otherwise, up to max_attempts times).
+    The generator is PCG64 keyed by SeedSequence([seed, stream, index]), so
+    trial `index` of a stream is reproducible in isolation and across
+    machines; `stream` separates independent trial families sharing one
+    seed.  This is `random_polygons` for one trial, with its keyword ranges.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, index])))
-    for _ in range(max_attempts):
-        center = _random_unit(rng)
-        radius = rng.uniform(*cap_radius_range)
-        count = int(rng.integers(NUM_POINTS_RANGE[0], NUM_POINTS_RANGE[1] + 1))
-        try:
-            P = convex_hull(_sample_cap(rng, center, radius, count))
-        except (DegenerateHull, NoHemisphere, TooFewPoints):
-            continue
-        w = boundary_diameter(P)
-        if diameter_range[0] < w.value < diameter_range[1]:
-            return P, w
-    raise SamplingExhausted(
-        f"no polygon with diameter in {diameter_range} after {max_attempts} attempts"
-    )
+    T = random_polygons(seed, [index], stream=stream, **ranges)
+    return SphericalPolygon._of(*T.polygons[0]), _witness(T.diameter[0], T.vertex_edge[0], T.p[0], T.q[0])

@@ -169,6 +169,8 @@ class TestPolygonCommands:
             '{"vertices": [[1%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % ("0" * 400),
             '{"vertices": [{"lon_deg": 1%s, "lat_deg": 0}, [0, 1, 0], [0, 0, 1]]}' % ("0" * 400),
             "[" * 200_000,
+            '{"vertices": [[true, 0, 0], [0, 1, 0], [0, 0, "1"]]}',
+            '{"vertices": [{"lon_deg": "0", "lat_deg": 0}, [0, 1, 0], [0, 0, 1]]}',
         ],
         ids=[
             "no-vertices-key",
@@ -179,6 +181,8 @@ class TestPolygonCommands:
             "overflowing-integer-coordinate",
             "overflowing-integer-longitude",
             "nested-too-deeply",
+            "boolean-and-string-coordinates",
+            "numeric-string-longitude",
         ],
     )
     def test_malformed_polygon_file(self, capsys, tmp_path, text):
@@ -258,15 +262,19 @@ class TestVerifyCommand:
     def test_trial_error_exit_two(self, capsys, monkeypatch, other_threads):
         # The fork carries the planted fault into the pool's workers, and the
         # message names the process that raised it.  Beside another thread
-        # forking is unsafe, so the trials run in this process.
-        real = campaign.wide_trial
+        # forking is unsafe, so the trials run in this process.  The pool
+        # pickles the chunk function it maps by name, so the fault is planted
+        # on the batch sampler that function calls, in the batch that holds
+        # wide trial TRIAL_CHUNK.
+        real = campaign.random_polygons
+        index = campaign.TRIAL_CHUNK
 
-        def planted(seed, index):
-            if index == campaign.TRIAL_CHUNK:
+        def planted(seed, indices, *, stream, **ranges):
+            if stream == campaign.STREAM_WIDE and index in indices:
                 raise SamplingExhausted(f"planted at trial {index} in process {os.getpid()}")
-            return real(seed, index)
+            return real(seed, indices, stream=stream, **ranges)
 
-        monkeypatch.setattr(campaign, "wide_trial", planted)
+        monkeypatch.setattr(campaign, "random_polygons", planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         stop = threading.Event()
         threads = [threading.Thread(target=stop.wait) for _ in range(other_threads)]

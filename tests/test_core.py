@@ -70,8 +70,29 @@ class TestSpherePoint:
             lambda: SpherePoint.from_json({"lon_deg": 10**400, "lat_deg": 0}),
             lambda: SpherePoint.from_json({"lon_deg": 0, "lat_deg": "x"}),
             lambda: SpherePoint.from_lonlat(math.inf, 0.0),
+            lambda: SpherePoint(("1", "0", "0")),
+            lambda: SpherePoint((True, 0, 0)),
+            lambda: SpherePoint(np.array([True, False, False])),
+            lambda: SpherePoint.from_json({"lon_deg": "90", "lat_deg": 0}),
+            lambda: SpherePoint.from_lonlat(0.0, True),
+            lambda: convex_hull([[True, 0, 0], [0, 1, 0], [0, 0, "1"]]),
+            lambda: convex_hull(np.array([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])),
         ],
-        ids=["non-numeric", "ragged", "non-numeric-circle", "overflowing-longitude", "non-numeric-latitude", "infinite-longitude"],
+        ids=[
+            "non-numeric",
+            "ragged",
+            "non-numeric-circle",
+            "overflowing-longitude",
+            "non-numeric-latitude",
+            "infinite-longitude",
+            "numeric-strings",
+            "boolean-coordinate",
+            "boolean-array",
+            "numeric-string-longitude",
+            "boolean-latitude",
+            "boolean-and-string-rows",
+            "string-array-rows",
+        ],
     )
     def test_malformed_input_is_domain_error(self, make):
         with pytest.raises(DomainError):
