@@ -19,8 +19,9 @@ a padded row are those of the ring.  Sums and argmax ties take the ring's own
 length and mask.  Products go through stacked np.matmul, which gives each
 ring the bits of its own (n, 3) product; so every ring of a stack gets the
 values it gets alone, and the scalar functions are the stacked ones at K = 1.
-Only qhull, the linear-programming fallback and the random draws run once
-per ring.
+Only qhull and the random draws run once per ring.  Hulls are charted at a
+center the caller gives: a random polygon at its sampling cap's center, and
+other point sets at the center `_hemisphere_center` searches.
 """
 
 from __future__ import annotations
@@ -244,10 +245,7 @@ class SphericalPolygon:
             raise InvalidPolygon(f"malformed polygon data: {type(exc).__name__}: {exc}") from exc
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
-        c, errors = _hemisphere_centers(V[None], np.array([V.shape[0]]))
-        if errors[0] is not None:
-            raise errors[0]
-        return cls(V, SpherePoint(c[0]))
+        return cls(V, SpherePoint(_hemisphere_center(V)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,25 +294,19 @@ def _lp_center(pts: np.ndarray) -> np.ndarray:
     return c
 
 
-def _hemisphere_centers(P: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, list]:
-    """A unit vector with dot above EPS_HEMI against every point of each cloud.
+def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
+    """A unit vector with dot above EPS_HEMI against every point of pts.
 
-    Tries each cloud's normalized vector sum first and falls back to
-    `_lp_center`.  Returns the (K, 3) centers and, per cloud, the NoHemisphere
-    it raised or None.
+    Tries the normalized vector sum first and falls back to `_lp_center`,
+    which raises NoHemisphere when there is none.
     """
-    s = np.where((np.arange(P.shape[1]) < n[:, None])[..., None], P, 0.0).sum(axis=1)
-    ns = np.sqrt(np.matmul(s[:, None, :], s[:, :, None])[:, 0, 0])  # each np.linalg.norm(s[k])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = s / ns[:, None]
-        fall_back = ~((ns > 1e-12) & (_dots(P, c).min(axis=1) > EPS_HEMI))
-    errors = [None] * len(n)
-    for k in np.flatnonzero(fall_back):
-        try:
-            c[k] = _lp_center(P[k, : n[k]])
-        except NoHemisphere as exc:
-            errors[k] = exc
-    return c, errors
+    s = pts.sum(axis=0)
+    ns = float(np.linalg.norm(s))
+    if ns > 1e-12:
+        c = s / ns
+        if float(np.min(pts @ c)) > EPS_HEMI:
+            return c
+    return _lp_center(pts)
 
 
 def _extreme_rings(R: _Rings) -> tuple[_Rings, np.ndarray]:
@@ -354,35 +346,34 @@ def _extreme_rings(R: _Rings) -> tuple[_Rings, np.ndarray]:
     return out, ok
 
 
-def _hulls(P: np.ndarray, n: np.ndarray) -> tuple[_Rings | None, list]:
+def _hulls(P: np.ndarray, n: np.ndarray, c: np.ndarray) -> tuple[_Rings | None, list]:
     """Spherical convex hulls of K clouds of at least three unit points.
 
-    P is a padded (K, m, 3) stack of the clouds and n their sizes.  Each
-    cloud is projected gnomonically to the tangent plane at its hemisphere
-    center, its planar hull is taken there, and the hull ring is mapped back
-    and reduced to extreme vertices by `_extreme_rings`.  Returns the hulls
-    of the clouds that have one, in input order (None when no cloud has one),
-    and per cloud the NoHemisphere or DegenerateHull it raised, or None.
+    P is a padded (K, m, 3) stack of the clouds, n their sizes and c (K, 3)
+    unit vectors with dot above EPS_HEMI against every point of their cloud.
+    Each cloud is projected gnomonically to the tangent plane at its c, its
+    planar hull is taken there, and the hull ring is mapped back and reduced
+    to extreme vertices by `_extreme_rings`.  Returns the hulls of the clouds
+    that have one, in input order (None when no cloud has one), and per cloud
+    the DegenerateHull it raised, or None.
     """
-    c, errors = _hemisphere_centers(P, n)
-    live = np.array([k for k, e in enumerate(errors) if e is None], dtype=int)
-    P, n, c = P[live], n[live], c[live]
     e1, e2 = _chart_basis(c)
     d = _dots(P, c)
     XY = np.stack([_dots(P, e1) / d, _dots(P, e2) / d], axis=-1)
     rings, hulled = [], []
-    for k in range(len(live)):
+    errors = [None] * len(n)
+    for k in range(len(n)):
         try:
             rings.append(_PlanarHull(XY[k, : n[k]]).vertices)  # counterclockwise in the chart
             hulled.append(k)
         except QhullError:
-            errors[live[k]] = DegenerateHull("points are collinear in the chart (one great circle)")
+            errors[k] = DegenerateHull("points are collinear in the chart (one great circle)")
     if not hulled:
         return None, errors
     idx, size = _cyclic(rings)
     R, ok = _extreme_rings(_rings(_take(P[hulled], idx), size, c[hulled]))
     for k in np.asarray(hulled)[~ok]:
-        errors[live[k]] = DegenerateHull("hull collapsed to fewer than 3 vertices")
+        errors[k] = DegenerateHull("hull collapsed to fewer than 3 vertices")
     return _Rings(*(a[ok] for a in R)), errors
 
 
@@ -391,15 +382,15 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
 
     Takes an (n, 3) array or a sequence of SpherePoints or 3-sequences, each
     row checked as SpherePoint checks it.  Projects gnomonically to the
-    tangent plane at a hemisphere center, takes the planar hull there, and
-    maps the hull ring back.  Near-duplicate neighbours and the vertices its
-    polygon finds not extreme (interior angle within EPS_ANGLE of pi) are
-    dropped until every vertex is extreme.
+    tangent plane at the hemisphere center `_hemisphere_center` finds, takes
+    the planar hull there, and maps the hull ring back.  Near-duplicate
+    neighbours and the vertices its polygon finds not extreme (interior angle
+    within EPS_ANGLE of pi) are dropped until every vertex is extreme.
     """
     arr = _as_unit_rows(points)
     if arr.shape[0] < 3:
         raise TooFewPoints(f"need at least 3 points, got {arr.shape[0]}")
-    R, errors = _hulls(arr[None], np.array([arr.shape[0]]))
+    R, errors = _hulls(arr[None], np.array([arr.shape[0]]), _hemisphere_center(arr)[None])
     if errors[0] is not None:
         raise errors[0]
     return SphericalPolygon._of(R, 0)
@@ -589,8 +580,13 @@ def random_polygons(
     generator; the attempts' cap samples, hulls and diameters are computed
     as one stack.  A trial is accepted on the first attempt whose hull
     exists and whose boundary diameter falls inside diameter_range, so its
-    result is the one it gets alone, whatever the other trials are.
+    result is the one it gets alone, whatever the other trials are.  Each
+    hull is charted at its cap's center, the polygon's hemisphere_center, so
+    a cap_radius_range that reaches the horizon raises DomainError.
     """
+    lo, hi = cap_radius_range
+    if not (0.0 < lo <= hi < math.pi / 2 and math.cos(hi) > EPS_HEMI):
+        raise DomainError(f"cap_radius_range={cap_radius_range} needs 0 < lo <= hi < pi/2 and cos(hi) > EPS_HEMI")
     rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, i]))) for i in indices]
     K = len(rngs)
     diameter, extreme = np.empty(K), np.empty(K)
@@ -603,10 +599,12 @@ def random_polygons(
         if not todo.size:
             break
         center, sag, u, az = zip(*(_draw(rngs[k], cap_radius_range) for k in todo))
+        center = np.array(center)
         u, count = _cyclic(u)
         # cap samples are unit to a few ulps, well inside the EPS_UNIT / 2 that
-        # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly
-        R, errors = _hulls(_sample_caps(np.array(center), np.array(sag), u, _cyclic(az)[0]), count)
+        # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly;
+        # each has dot at least cos(radius) > EPS_HEMI with its cap's center
+        R, errors = _hulls(_sample_caps(center, np.array(sag), u, _cyclic(az)[0]), count, center)
         if R is None:
             continue
         hulled = todo[[k for k, e in enumerate(errors) if e is None]]
@@ -632,10 +630,11 @@ def random_polygon(seed: int, index: int, *, stream: int = 0, **ranges) -> tuple
     cap_radius_range, and N points uniformly in the cap, N uniform in
     NUM_POINTS_RANGE; then keeps the hull if its boundary diameter falls
     inside diameter_range (redrawing otherwise, up to max_attempts times).
-    The generator is PCG64 keyed by SeedSequence([seed, stream, index]), so
-    trial `index` of a stream is reproducible in isolation and across
-    machines; `stream` separates independent trial families sharing one
-    seed.  This is `random_polygons` for one trial, with its keyword ranges.
+    The polygon's hemisphere_center is the cap center.  The generator is
+    PCG64 keyed by SeedSequence([seed, stream, index]), so trial `index` of a
+    stream is reproducible in isolation and across machines; `stream`
+    separates independent trial families sharing one seed.  This is
+    `random_polygons` for one trial, with its keyword ranges.
     """
     T = random_polygons(seed, [index], stream=stream, **ranges)
     return SphericalPolygon._of(*T.polygons[0]), _witness(T.diameter[0], T.vertex_edge[0], T.p[0], T.q[0])

@@ -27,9 +27,10 @@ from sphereconvex.campaign import STREAM_SMALL, STREAM_WIDE
 from sphereconvex.core import _as_unit_rows
 
 SEED = 42
-# Wide trials of seed 42 on the rare paths of `random_polygon`: the number of
-# attempts each makes and the number of linear-programming centers it needs.
-RARE_WIDE = {11: (2, 0), 17: (1, 1), 269: (4, 1)}
+# Wide trials of seed 42 on the rare paths of `random_polygon`, and the number
+# of attempts each makes.  The vector sum of trial 17's cloud, and of trial
+# 269's last, is no hemisphere center; the cap center charts them instead.
+RARE_WIDE = {11: 2, 17: 1, 269: 4}
 
 
 def bits(a) -> np.ndarray:
@@ -67,14 +68,14 @@ def counting(monkeypatch, *names) -> dict:
 
 @pytest.mark.parametrize("index", sorted(RARE_WIDE))
 def test_rare_trials_take_their_paths(monkeypatch, index):
-    # a redraw (diameter out of range) and a linear-programming center
+    # a redraw (diameter out of range), and no linear program for any cloud
     calls = counting(monkeypatch, "_draw", "_lp_center")
     campaign.wide_trial(SEED, index)
-    assert (calls["_draw"], calls["_lp_center"]) == RARE_WIDE[index]
+    assert (calls["_draw"], calls["_lp_center"]) == (RARE_WIDE[index], 0)
 
 
 def test_chunk_rows_equal_scalar_rows():
-    start, stop = 260, 280  # holds trial 269: three redraws and a linear program
+    start, stop = 260, 280  # holds trial 269: three redraws and a cloud the vector sum cannot chart
     got = campaign.trial_chunk(SEED, STREAM_WIDE, start, stop)
     assert np.array_equal(bits(got), bits([scalar_row(STREAM_WIDE, i) for i in range(start, stop)]))
 
@@ -83,9 +84,11 @@ def test_chunk_rows_equal_scalar_rows():
 def test_rows_independent_of_chunk_size(monkeypatch, scalar_rows, chunk):
     monkeypatch.setattr(campaign, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = counting(monkeypatch, "_lp_center")
     wide, small = campaign.trial_rows(SEED, [(STREAM_WIDE, 24), (STREAM_SMALL, 10)])
     assert np.array_equal(bits(wide), bits(scalar_rows[STREAM_WIDE]))
     assert np.array_equal(bits(small), bits(scalar_rows[STREAM_SMALL]))
+    assert calls["_lp_center"] == 0
 
 
 def cap_cloud(rng, count: int, radius: float) -> np.ndarray:
@@ -142,17 +145,31 @@ def test_hull_clouds_take_the_rare_paths(monkeypatch):
 
 def test_hull_stack_equals_single_hulls(monkeypatch):
     clouds = hull_clouds()
-    alone = []
-    for cloud in clouds:
+    lp = counting(monkeypatch, "_lp_center")
+    alone, lp_clouds = [], []
+    for k, cloud in enumerate(clouds):
+        before = lp["_lp_center"]
         try:
             alone.append(convex_hull(cloud))
         except (DegenerateHull, NoHemisphere) as exc:
             alone.append(exc)
+        if lp["_lp_center"] > before:
+            lp_clouds.append(k)
     assert {type(x).__name__ for x in alone} == {"SphericalPolygon", "DegenerateHull", "NoHemisphere"}
+    # the single hulls took the linear-programming centers: the two clouds
+    # with an outlier, and the antipodal cloud, which has none
+    assert lp_clouds == [3, 6, 9]
+    # a cloud without a hemisphere has no chart center to stack; the others
+    # are charted at their single hull's center
+    stacked = [k for k, x in enumerate(alone) if not isinstance(x, NoHemisphere)]
+    centers = {
+        k: alone[k].hemisphere_center.v if isinstance(alone[k], SphericalPolygon) else pg._hemisphere_center(clouds[k])
+        for k in stacked
+    }
     calls = counting(monkeypatch, "_rings", "_lp_center")
-    for order in (list(range(len(clouds))), list(reversed(range(len(clouds))))):
+    for order in (stacked, stacked[::-1]):
         P, n = pg._cyclic([clouds[k] for k in order])
-        R, errors = pg._hulls(P, n)
+        R, errors = pg._hulls(P, n, np.array([centers[k] for k in order]))
         row = 0
         for k, err in zip(order, errors):
             want = alone[k]
@@ -165,9 +182,9 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
             assert np.array_equal(bits(R.c[row]), bits(want.hemisphere_center.v))
             row += 1
         assert row == len(R.n)
-    # the stacks took the rebuild rounds and the linear-programming centers
+    # the stacks took the rebuild rounds, and searched no center
     assert calls["_rings"] >= 4
-    assert calls["_lp_center"] >= 4
+    assert calls["_lp_center"] == 0
 
 
 def test_tie_goes_to_first_pair_in_a_stack():

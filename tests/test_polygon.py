@@ -32,6 +32,8 @@ from sphereconvex import (
     wide_trial,
     phi,
 )
+from sphereconvex import polygon as pg
+from sphereconvex.campaign import STREAM_RANGES
 from support import (
     chart_contains,
     edge_edge_candidates,
@@ -475,6 +477,18 @@ class TestRandomPolygon:
     def test_exhaustion_raises_library_error(self):
         with pytest.raises(SamplingExhausted, match="after 3 attempts"):
             random_polygon(1, 0, diameter_range=(3.2, 3.3), max_attempts=3)
+
+    # the cap center charts the hull, so no cap may reach its horizon
+    @pytest.mark.parametrize("cap_radius_range", [(0.5, math.pi / 2), (0.5, 2 * math.pi), (0.0, 1.0), (1.0, 0.5)])
+    def test_cap_range_rejected_before_any_draw(self, monkeypatch, cap_radius_range):
+        monkeypatch.setattr(pg, "_draw", None)  # a draw would raise TypeError
+        with pytest.raises(DomainError, match="cap_radius_range"):
+            random_polygon(1, 0, cap_radius_range=cap_radius_range)
+
+    @pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
+    def test_stream_ranges_accepted(self, stream):
+        P, _ = random_polygon(1, 0, stream=stream, **STREAM_RANGES[stream])
+        assert np.min(P._varr @ P.hemisphere_center.v) >= math.sin(0.05) - 1e-12
 
 
 class TestRegularTriangle:
