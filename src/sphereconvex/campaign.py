@@ -21,8 +21,9 @@ import math
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,16 +224,21 @@ def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
     return [(d, e) for d, e, _ in rows]
 
 
-def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:
-    """`trial_chunk` rows of the first `count` trials of each (stream, count).
+@contextmanager
+def _trial_pool(seed: int, counts: Sequence[tuple[int, int]]) -> Iterator[Callable[[], list[np.ndarray]]]:
+    """Start drawing the first `count` trials of each (stream, count) and
+    yield a function that returns their `trial_chunk` rows, one array per
+    stream.
 
     Each stream is cut into chunks of TRIAL_CHUNK consecutive trials, mapped
     over a forked process pool with one worker per CPU in this process's
-    affinity mask.  With one CPU, without the fork start method, or where
-    forking is unsafe (a daemonic process, other running threads), they run
-    in this process.  Every trial draws from its own PCG64 stream and the
-    rows come back in input order, so they depend neither on the worker
-    count nor on the chunk size.
+    affinity mask, so the body of the `with` block runs in this process
+    while the workers draw.  With one CPU, without the fork start method, or
+    where forking is unsafe (a daemonic process, other running threads), the
+    trials run in this process when the rows are asked for.  Leaving the
+    block ends every worker, also on an error.  Every trial draws from its
+    own PCG64 stream and the rows come back in input order, so they depend
+    neither on the worker count nor on the chunk size.
     """
     import multiprocessing  # here, so that importing the package does not load it
 
@@ -241,6 +247,12 @@ def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]
         for stream, count in counts
         for start in range(0, count, TRIAL_CHUNK)
     ]
+
+    def rows(chunks: Iterable[list[tuple]]) -> list[np.ndarray]:
+        flat = [row for chunk in chunks for row in chunk]
+        ends = np.cumsum([count for _, count in counts])
+        return [np.array(flat[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = (
         "fork" in multiprocessing.get_all_start_methods()
@@ -250,12 +262,17 @@ def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]
     workers = min(cpus, len(tasks)) if can_fork else 1
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            chunks = pool.starmap(trial_chunk, tasks, chunksize=1)
+            pending = pool.starmap_async(trial_chunk, tasks, chunksize=1)
+            yield lambda: rows(pending.get())
     else:
-        chunks = [trial_chunk(*task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    ends = np.cumsum([count for _, count in counts])
-    return [np.array(rows[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
+        yield lambda: rows(trial_chunk(*task) for task in tasks)
+
+
+def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+    """`trial_chunk` rows of the first `count` trials of each (stream, count),
+    drawn by `_trial_pool`."""
+    with _trial_pool(seed, counts) as collect:
+        return collect()
 
 
 def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], tol: float) -> CheckResult:
@@ -287,13 +304,17 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     phis = np.array([phi(d) for d in deltas])
     sides = [float(s) for s in np.linspace(*QUAD_GRID_RANGE, QUAD_GRID_STEPS)]
     quads = [(kappa, lam) for kappa in sides for lam in sides]
-    # Sampled before the trials grow the heap, so its large temporaries do not add to the peak.
-    lunes = [lune_checks(d, LUNE_SAMPLES) for d in deltas]
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
-    wide, small = trial_rows(seed, [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))])
+    with _trial_pool(seed, [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))]) as collect:
+        # The grid checks run here while the workers draw the trials; without
+        # workers they run first, before the trials grow the heap, so their
+        # large temporaries do not add to the peak.
+        lunes = [lune_checks(d, LUNE_SAMPLES) for d in deltas]
+        quad_margins = [-_quad_error(kappa, lam) for kappa, lam in quads]
+        table = tightness_table(grid)
+        wide, small = collect()
     margin, ratio, diam, ext, nverts = wide.T
-    table = tightness_table(grid)
 
     def at_delta(k: int) -> dict:
         return {"delta": deltas[k]}
@@ -316,7 +337,7 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
         _check("thickness_gap", grid - 2.0 * phis, at_delta, tol),
         _check(
             "quad_closed_form_vs_embedding",
-            [-_quad_error(kappa, lam) for kappa, lam in quads],
+            quad_margins,
             lambda k: {"kappa": quads[k][0], "lambda": quads[k][1]},
             tol,
         ),

@@ -219,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SphereGeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a grid or sample count too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

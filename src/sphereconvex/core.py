@@ -88,7 +88,7 @@ def _as_unit_rows(points) -> np.ndarray:
     except (ValueError, OverflowError):  # ragged, non-numeric or too large rows: the row checks say which
         arr = np.empty(0)
     with np.errstate(over="ignore"):  # an overflowing norm fails the test; its row check raises
-        if arr.shape[1:] == (3,) and np.all(np.abs(np.linalg.norm(arr, axis=1) - 1.0) <= 0.5 * EPS_UNIT):
+        if arr.shape[1:] == (3,) and np.all(np.abs(vecmath.norm(arr) - 1.0) <= 0.5 * EPS_UNIT):
             return arr
     return np.array([_as_unit_vector(p) for p in points]).reshape(-1, 3)
 

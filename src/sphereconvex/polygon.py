@@ -129,7 +129,7 @@ def _rings(V: np.ndarray, n: np.ndarray, c: np.ndarray) -> _Rings:
     with np.errstate(invalid="ignore"):  # a zero edge has no normal; its cycle fails on its length
         N = vecmath.unit(vecmath.cross(V, B))
     Np = _take(N, _shift(n, m, -1))
-    t = np.arctan2(np.sum(vecmath.cross(Np, N) * V, axis=-1), np.sum(Np * N, axis=-1))
+    t = np.arctan2(vecmath.dot(vecmath.cross(Np, N), V), vecmath.dot(Np, N))
     return _Rings(V, n, c, vecmath.ang(V, B), N, t)
 
 
@@ -441,7 +441,7 @@ def _boundary_diameters(R: _Rings, pairs: tuple) -> tuple[np.ndarray, np.ndarray
 
     # (b) vertex-edge: farthest point of each edge circle from each vertex
     W = V[:, :, None, :] - np.matmul(V, N.transpose(0, 2, 1))[..., None] * N[:, None, :, :]  # (ring, vertex, edge, 3)
-    wn = np.linalg.norm(W, axis=-1)
+    wn = vecmath.norm(W)
     far = -W / np.maximum(wn, 1e-300)[..., None]
     # kept where the vertex is not a pole of the edge circle and far, already
     # on that circle, lies on the edge arc

@@ -2,6 +2,15 @@
 
 All functions treat the last axis as the 3-vector axis and broadcast over
 leading axes.
+
+Reductions over that axis are written out column by column in `dot` and
+`norm`, which take a fraction of the time of `np.sum(u * w, axis=-1)` and
+`np.linalg.norm(v, axis=-1)` on large stacks and give the same bits: numpy
+adds the three products left to right onto its reduction's starting value,
++0.0, which is why `dot` starts there too (a row whose products are all -0.0
+sums to +0.0, not -0.0).  Reductions that sum in another order stay as numpy
+calls: `np.matmul` and `@`, `np.linalg.norm` of a 1-D vector (BLAS `dot`),
+and sums along longer axes, which numpy adds pairwise from length 8 on.
 """
 
 from __future__ import annotations
@@ -9,11 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dot product along the last axis, bit-identical to np.sum(u * w, axis=-1)."""
+    return 0.0 + u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+
+
+def norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, bit-identical to np.linalg.norm(v, axis=-1)."""
+    return np.sqrt(dot(v, v))
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize along the last axis."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / n
+    return v / norm(v)[..., None]
 
 
 def cross(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -33,16 +51,14 @@ def ang(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    s = np.linalg.norm(cross(u, w), axis=-1)
-    d = np.sum(u * w, axis=-1)
-    return np.arctan2(s, d)
+    return np.arctan2(norm(cross(u, w)), dot(u, w))
 
 
 def reject(v: np.ndarray, axis_vec: np.ndarray) -> np.ndarray:
     """Component of v orthogonal to the unit vector axis_vec (not normalized)."""
     v = np.asarray(v, dtype=float)
     axis_vec = np.asarray(axis_vec, dtype=float)
-    return v - np.sum(v * axis_vec, axis=-1, keepdims=True) * axis_vec
+    return v - dot(v, axis_vec)[..., None] * axis_vec
 
 
 def slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sphereconvex
-from sphereconvex import SamplingExhausted, SpherePoint, arc_point, GeodesicArc, campaign
+from sphereconvex import DomainError, SamplingExhausted, SpherePoint, arc_point, GeodesicArc, campaign, cli
 from sphereconvex.campaign import LUNE_SAMPLES, CampaignConfig
 from sphereconvex.cli import _build_parser, _verify_config, main
 
@@ -119,6 +119,18 @@ class TestLuneCommand:
         code, _, err = run_cli(capsys, "lune", "--delta", "1.0")
         assert code == 2
         assert "outside the open interval" in err
+
+    def test_out_of_memory_exit_two(self, capsys, monkeypatch):
+        # A sample count too large to allocate; the fault stands in for the
+        # allocation, which is never attempted.
+        def planted(delta, samples):
+            raise MemoryError(f"Unable to allocate {samples} samples")
+
+        monkeypatch.setattr(cli, "lune_checks", planted)
+        code, out, err = run_cli(capsys, "lune", "--delta", "2.0", "--samples", "100000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 100000 samples\n"
 
 
 class TestPolygonCommands:
@@ -291,6 +303,24 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith(f"error: planted at trial {campaign.TRIAL_CHUNK} in process ")
         assert (int(err.split()[-1]) == os.getpid()) == bool(other_threads)
+        assert multiprocessing.active_children() == []
+
+    def test_grid_error_ends_pool(self, capsys, monkeypatch):
+        # The grid checks run in this process while the pool's workers draw
+        # the trials; an error there ends the run and every worker.
+        live = []
+
+        def planted(delta, samples):
+            live.append(len(multiprocessing.active_children()))
+            raise DomainError(f"planted at delta {delta!r}")
+
+        monkeypatch.setattr(campaign, "lune_checks", planted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        code, out, err = run_cli(capsys, "verify", "--trials", str(2 * campaign.TRIAL_CHUNK), "--delta-steps", "2")
+        assert live == [2]
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: planted at delta ")
         assert multiprocessing.active_children() == []
 
     def test_invalid_config_exit_two(self, capsys):
