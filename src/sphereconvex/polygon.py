@@ -19,9 +19,10 @@ a padded row are those of the ring.  Sums and argmax ties take the ring's own
 length and mask.  Products go through stacked np.matmul, which gives each
 ring the bits of its own (n, 3) product; so every ring of a stack gets the
 values it gets alone, and the scalar functions are the stacked ones at K = 1.
-Only qhull and the random draws run once per ring.  Hulls are charted at a
-center the caller gives: a random polygon at its sampling cap's center, and
-other point sets at the center `_hemisphere_center` searches.
+Only the random draws run once per ring; the planar hulls too are taken on
+the padded stack.  Hulls are charted at a center the caller gives: a random
+polygon at its sampling cap's center, and other point sets at the center
+`_hemisphere_center` searches.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull as _PlanarHull
-from scipy.spatial import QhullError
+# numpy imports numpy.random on first use; imported with this module, it is
+# loaded once before the trial pool forks rather than again in every worker
+from numpy.random import PCG64, Generator, SeedSequence
 
 from . import vecmath
 from .core import EPS_ANTIPODE, EPS_ON, SpherePoint, _as_unit_rows
@@ -53,6 +55,13 @@ EPS_HEMI = 1e-6
 # A vertex whose turn is at most this (interior angle within this of pi) lies
 # on the arc joining its neighbours and is not an extreme point.
 EPS_ANGLE = 1e-9
+
+# Roundoff of a cloud's chart, in units in the last place of the largest
+# distance of its points from the chart's origin: chart points nearer each
+# other than this are one point, and a hull ring whose every vertex lies this
+# near the chord of its neighbours is a segment, the chart of points on one
+# great circle.
+_CHART_ULPS = 16
 
 # Slack for "point lies on this edge arc" membership in candidate tests;
 # kept well below reporting tolerances so off-arc candidates cannot inflate
@@ -136,7 +145,7 @@ def _rings(V: np.ndarray, n: np.ndarray, c: np.ndarray) -> _Rings:
 def _ring_sums(A: np.ndarray, n: np.ndarray) -> np.ndarray:
     """np.sum of each A[k, :n[k]], by ring length: pairwise summation groups by length."""
     out = np.empty(len(n))
-    for length in np.unique(n):
+    for length in set(n.tolist()):  # not np.unique, whose first call imports numpy.ma
         rows = n == length
         out[rows] = A[rows, :length].sum(axis=1)
     return out
@@ -346,33 +355,71 @@ def _extreme_rings(R: _Rings) -> tuple[_Rings, np.ndarray]:
     return out, ok
 
 
+def _planar_hulls(Z: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counterclockwise hull rings of K planar clouds.
+
+    Z is a padded (K, m) stack of the clouds, each point x + iy, and n their
+    sizes.  Sorted by azimuth about its centroid, a point inside its hull,
+    each cloud is a star-shaped ring through every hull vertex.  Each round
+    then drops at once every vertex at which its ring does not turn left; a
+    hull vertex turns left whatever its neighbours, so only the hull is left
+    when every vertex turns.  A vertex within the chart's roundoff
+    (`_CHART_ULPS`) of the one before it is that point again and is dropped.
+    Returns the rings as a cyclically padded (K, w) stack of rows of the
+    clouds and their lengths, 0 for a cloud whose ring is a point or a
+    segment.
+
+    A round costs O(K m).  Cap samples and near-circular clouds take a few
+    rounds, but a convex chain of points inside the hull loses only its two
+    end vertices per round, so a chain of L points takes about L / 2 rounds.
+    """
+    K, m = Z.shape
+    rows, cols = np.arange(K)[:, None], np.arange(-1, m + 1)
+    real = cols[1:-1] < n[:, None]
+    # a where= reduction runs the plain loop on each run of real rows, so
+    # every cloud gets the centroid and scale it has alone
+    D = Z - (np.add.reduce(Z, axis=1, where=real) / n)[:, None]
+    tol = _CHART_ULPS * np.finfo(float).eps * np.max(np.abs(Z), axis=1, where=real, initial=0.0)[:, None]
+    ring = np.argsort(np.where(real, np.angle(D), np.inf), axis=1, kind="stable")
+    while True:
+        idx = ring[rows, cols[: m + 2] % np.maximum(n, 1)[:, None]]  # each vertex between its neighbours
+        A = Z[rows, idx]
+        E = A[:, 1:] - A[:, :-1]  # E[:, i] runs from vertex i - 1 to vertex i
+        far = np.abs(E) > tol
+        left = (E[:, :-1].conj() * E[:, 1:]).imag
+        # the first of a run of near points stays, to be tested once the rest are gone
+        keep = (left > 0) | ~far[:, 1:]
+        keep &= far[:, :-1] & real
+        kept = keep.sum(axis=1)
+        if kept.sum() == n.sum():  # no ring lost a vertex
+            break
+        n, m = kept, max(kept.max(), 1)
+        real = cols[1 : m + 1] < n[:, None]
+        ring = idx[:, 1:-1][rows, np.argsort(~keep, axis=1, kind="stable")[:, :m]]
+    flat = (left <= tol * np.abs(A[:, 2:] - A[:, :-2])) | ~keep
+    return idx[:, 1:-1], np.where((n < 3) | flat.all(axis=1), 0, n)
+
+
 def _hulls(P: np.ndarray, n: np.ndarray, c: np.ndarray) -> tuple[_Rings | None, list]:
     """Spherical convex hulls of K clouds of at least three unit points.
 
     P is a padded (K, m, 3) stack of the clouds, n their sizes and c (K, 3)
     unit vectors with dot above EPS_HEMI against every point of their cloud.
     Each cloud is projected gnomonically to the tangent plane at its c, its
-    planar hull is taken there, and the hull ring is mapped back and reduced
-    to extreme vertices by `_extreme_rings`.  Returns the hulls of the clouds
-    that have one, in input order (None when no cloud has one), and per cloud
-    the DegenerateHull it raised, or None.
+    planar hull is taken there by `_planar_hulls`, and the hull ring is
+    mapped back and reduced to extreme vertices by `_extreme_rings`.
+    Returns the hulls of the clouds that have one, in input order (None when
+    no cloud has one), and per cloud the DegenerateHull it raised, or None.
     """
     e1, e2 = _chart_basis(c)
     d = _dots(P, c)
-    XY = np.stack([_dots(P, e1) / d, _dots(P, e2) / d], axis=-1)
-    rings, hulled = [], []
-    errors = [None] * len(n)
-    for k in range(len(n)):
-        try:
-            rings.append(_PlanarHull(XY[k, : n[k]]).vertices)  # counterclockwise in the chart
-            hulled.append(k)
-        except QhullError:
-            errors[k] = DegenerateHull("points are collinear in the chart (one great circle)")
-    if not hulled:
+    ring, size = _planar_hulls(_dots(P, e1) / d + 1j * (_dots(P, e2) / d), n)
+    hulled = size > 0
+    errors = [None if h else DegenerateHull("points are collinear in the chart (one great circle)") for h in hulled]
+    if not hulled.any():
         return None, errors
-    idx, size = _cyclic(rings)
-    R, ok = _extreme_rings(_rings(_take(P[hulled], idx), size, c[hulled]))
-    for k in np.asarray(hulled)[~ok]:
+    R, ok = _extreme_rings(_rings(_take(P[hulled], ring[hulled]), size[hulled], c[hulled]))
+    for k in np.flatnonzero(hulled)[~ok]:
         errors[k] = DegenerateHull("hull collapsed to fewer than 3 vertices")
     return _Rings(*(a[ok] for a in R)), errors
 
@@ -383,9 +430,10 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     Takes an (n, 3) array or a sequence of SpherePoints or 3-sequences, each
     row checked as SpherePoint checks it.  Projects gnomonically to the
     tangent plane at the hemisphere center `_hemisphere_center` finds, takes
-    the planar hull there, and maps the hull ring back.  Near-duplicate
-    neighbours and the vertices its polygon finds not extreme (interior angle
-    within EPS_ANGLE of pi) are dropped until every vertex is extreme.
+    the planar hull there (`_planar_hulls`, the kernel of random polygons
+    too), and maps the hull ring back.  Near-duplicate neighbours and the
+    vertices its polygon finds not extreme (interior angle within EPS_ANGLE
+    of pi) are dropped until every vertex is extreme.
     """
     arr = _as_unit_rows(points)
     if arr.shape[0] < 3:
@@ -520,14 +568,14 @@ def extreme_diameter_margin(P: SphericalPolygon) -> float:
     return extreme_diameter(P) - 2.0 * phi(w.value)
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
+def _random_unit(rng: Generator) -> np.ndarray:
     z = rng.uniform(-1.0, 1.0)
     az = rng.uniform(0.0, 2.0 * math.pi)
     r = math.sqrt(max(0.0, 1.0 - z * z))
     return np.array([r * math.cos(az), r * math.sin(az), z])
 
 
-def _draw(rng: np.random.Generator, cap_radius_range: tuple[float, float]) -> tuple:
+def _draw(rng: Generator, cap_radius_range: tuple[float, float]) -> tuple:
     """One attempt's draws: a cap center, 1 - cos of its radius, and the height and azimuth draws of its samples."""
     center = _random_unit(rng)
     radius = rng.uniform(*cap_radius_range)
@@ -587,7 +635,7 @@ def random_polygons(
     lo, hi = cap_radius_range
     if not (0.0 < lo <= hi < math.pi / 2 and math.cos(hi) > EPS_HEMI):
         raise DomainError(f"cap_radius_range={cap_radius_range} needs 0 < lo <= hi < pi/2 and cos(hi) > EPS_HEMI")
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream, i]))) for i in indices]
+    rngs = [Generator(PCG64(SeedSequence([seed, stream, i]))) for i in indices]
     K = len(rngs)
     diameter, extreme = np.empty(K), np.empty(K)
     vertex_edge = np.zeros(K, dtype=bool)
@@ -617,7 +665,7 @@ def random_polygons(
         extreme[done], vertices[done] = _farthest(pairs, R.n)[2][hit], R.n[hit]
         for k, row in zip(done, np.flatnonzero(hit)):
             polygons[k] = (R, row)
-        todo = np.setdiff1d(todo, done)
+        todo = np.setdiff1d(todo, done, assume_unique=True)  # without np.unique, which imports numpy.ma
     if todo.size:
         raise SamplingExhausted(f"no polygon with diameter in {diameter_range} after {max_attempts} attempts")
     return RandomPolygons(diameter, vertex_edge, p, q, extreme, vertices, polygons)

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from sphereconvex import (
     DegenerateHull,
@@ -109,7 +110,7 @@ def hull_clouds() -> list[np.ndarray]:
     """Unit point clouds for every path of the hull kernel."""
     rng = np.random.default_rng(3)
     caps = [cap_cloud(rng, count, radius) for count, radius in ((8, 0.9), (40, 1.3), (5, 0.2), (60, 1.45))]
-    # a point 1e-12 rad off a hull vertex, in a direction where qhull keeps both
+    # a point 1e-12 rad off a hull vertex, in a direction where the planar hull keeps both
     v = convex_hull(caps[1])._varr[0]
     t = np.cross(v, np.random.default_rng(4).normal(size=3))
     t /= np.linalg.norm(t)
@@ -124,6 +125,62 @@ def hull_clouds() -> list[np.ndarray]:
     sliver = chart_cloud([[-1.0, 0.0], [1.0, 0.0], [0.0, 1e-13]])
     antipodal = np.vstack([np.eye(3), -np.eye(3)])
     return [*caps, near_duplicate, chord, outlier, great_circle, sliver, antipodal]
+
+
+def planar_clouds() -> dict[str, np.ndarray]:
+    """Chart clouds, as x + iy, for every case of the planar hull kernel."""
+    rng = np.random.default_rng(12)
+    clouds = {}
+    for count in (3, 4, 5, 9, 17, 33, 60):
+        cloud = cap_cloud(rng, count, rng.uniform(0.05, 1.5))
+        c = pg._hemisphere_center(cloud)
+        e1, e2 = pg._chart_basis(c[None])
+        d = cloud @ c
+        clouds[f"cap-{count}"] = (cloud @ e1[0]) / d + 1j * ((cloud @ e2[0]) / d)
+    for count in (32, 128, 512):  # points within 0.2% of a circle, most of them hull vertices
+        az = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        clouds[f"circle-{count}"] = 0.3 + 0.8j + (1.0 - 0.002 * rng.uniform(size=count)) * np.exp(1j * az)
+    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    clouds["point-at-centroid"] = np.append(square, 0.0)
+    clouds["same-azimuth"] = np.array([2.0, 1.0, 2j, -2.0, -2j, 0.5])  # 2, 1 and 0.5 on one ray from the centroid
+    clouds["duplicates"] = np.concatenate([square, [0.2 + 0.1j], square[::-1], square])
+    # 1e-13 outside the middle of two edges (hull vertices) and inside two (not)
+    off = [complex(0.1, -1 - 1e-13), complex(1 + 1e-13, 0.3), complex(1 - 1e-13, -0.5), complex(0.2, 1 - 1e-13)]
+    clouds["off-edges"] = np.append(square, off)
+    clouds["on-edges"] = np.append(square, [-1j, 1.0, 0.5 + 1j])  # exactly on three edges: not hull vertices
+    clouds["collinear"] = (0.1 + 0.2j) + (1.0 + 2.0j) * np.linspace(-1.0, 1.0, 7)
+    clouds["one-point"] = np.full(3, 0.3 + 0.2j)
+    clouds["two-points"] = np.repeat([0.3 + 0.2j, -0.1 + 0.5j], 3)
+    return clouds
+
+
+def alone(Z: np.ndarray) -> np.ndarray:
+    ring, size = pg._planar_hulls(Z[None], np.array([len(Z)]))
+    return ring[0, : size[0]]
+
+
+@pytest.mark.parametrize("name", sorted(planar_clouds()))
+def test_planar_hull_matches_qhull(name):
+    Z = planar_clouds()[name]
+    got = alone(Z)
+    try:
+        want = ConvexHull(np.column_stack([Z.real, Z.imag])).vertices  # counterclockwise
+    except QhullError:
+        assert got.size == 0  # a point or a segment has no ring
+        return
+    assert sorted(got) == sorted(want)
+    assert np.array_equal(np.roll(got, -list(got).index(want[0])), want)  # the same cycle
+
+
+def test_planar_hull_stack_equals_single_clouds():
+    clouds = list(planar_clouds().values())
+    for order in (clouds, clouds[::-1]):
+        Z, n = pg._cyclic(order)
+        ring, size = pg._planar_hulls(Z, n)
+        for k, cloud in enumerate(order):
+            assert np.array_equal(ring[k, : size[k]], alone(cloud))  # start vertex included
+            if size[k]:
+                assert np.array_equal(ring[k], ring[k, np.arange(ring.shape[1]) % size[k]])  # padded cyclically
 
 
 def test_hull_clouds_take_the_rare_paths(monkeypatch):

@@ -377,6 +377,28 @@ def test_module_entry_point_subprocess():
     assert "phi" in json.loads(proc.stdout)
 
 
+def test_verify_loads_no_scipy():
+    # one CPU, so the trials run in this process too; only a hemisphere
+    # search that falls back to its linear program would load scipy
+    src = os.path.dirname(os.path.dirname(sphereconvex.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "import sphereconvex.cli; from sphereconvex.campaign import CampaignConfig, run_verify; "
+        "assert run_verify(CampaignConfig(trials=50)).overall_pass; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_import_leaves_pool_and_lp_unloaded():
     # `multiprocessing` loads when a campaign maps its trials and
     # `scipy.optimize` when the hemisphere search falls back to its LP, so

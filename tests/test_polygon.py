@@ -45,6 +45,9 @@ from support import (
 from strategies import rotate, rotations
 
 OCTANT = [SpherePoint((1, 0, 0)), SpherePoint((0, 1, 0)), SpherePoint((0, 0, 1))]
+# seven points on the great circle through (1, 2, 2) / 3 and (2, 1, -2) / 3
+_ARC = np.linspace(0.0, 1.0, 7)
+GREAT_CIRCLE_ARC = np.outer(np.cos(_ARC), [1.0, 2.0, 2.0]) / 3 + np.outer(np.sin(_ARC), [2.0, 1.0, -2.0]) / 3
 
 
 def cap_points(seed, count, radius, center=(0.0, 0.0, 1.0)):
@@ -207,6 +210,26 @@ class TestConvexHull:
         with pytest.raises(DegenerateHull):
             convex_hull(pts)
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            # chart points on one line up to rounding: no planar ring at all
+            (GREAT_CIRCLE_ARC, "collinear in the chart"),
+            ([[0.3, 0.2, 1.0]] * 3, "collinear in the chart"),
+            ([[0.3, 0.2, 1.0]] * 3 + [[-0.1, 0.5, 1.0]] * 3, "collinear in the chart"),
+            # a planar ring that is no spherical polygon
+            ([[-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1e-13, 1.0]], "fewer than 3 vertices"),
+        ],
+        ids=["great-circle-arc", "one-point-thrice", "two-points-thrice", "sliver"],
+    )
+    def test_degenerate_hull_messages(self, points, message):
+        with pytest.raises(DegenerateHull, match=message):
+            convex_hull(np.array(points))
+
+    def test_point_at_centroid_is_interior(self):
+        square = [[-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]
+        assert convex_hull(np.array(square + [[0.0, 0.0, 1.0]]))._varr.shape[0] == 4
+
     def test_lp_fallback_center(self):
         # a wide cluster plus an outlier pulls the vector-sum center outside
         # the admissible region, exercising the certified fallback
@@ -262,8 +285,8 @@ class TestConvexHull:
 
     @pytest.mark.parametrize("height", [1e-11, 1e-13, 1e-14])
     def test_sliver_is_degenerate(self, height):
-        # qhull keeps these triangles and quadrilaterals, whose ends have
-        # interior angles down to 1e-14: a segment, not a polygon
+        # the planar hull keeps these triangles and quadrilaterals, whose ends
+        # have interior angles down to 1e-14: a segment, not a polygon
         for xy in ([[-1.0, 0.0], [1.0, 0.0], [0.0, height]], [[-0.5, 0.2], [0.5, 0.2], [0.1, 0.2 + height], [-0.2, 0.2 - height]]):
             with pytest.raises(DegenerateHull, match="fewer than 3 vertices"):
                 convex_hull(np.column_stack([xy, np.ones(len(xy))]))

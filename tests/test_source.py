@@ -71,3 +71,22 @@ def test_no_unused_private_names(name):
     used = set().union(*(_used_names(tree) for tree in TREES.values()))
     defined = _private_definitions(TREES[name])
     assert [f"{n} (line {line})" for n, line in defined.items() if n not in used] == []
+
+
+def _import_time_modules(node: ast.AST) -> list[str]:
+    """Modules imported when the module runs: every import outside a function body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return []
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return [name for child in ast.iter_child_nodes(node) for name in _import_time_modules(child)]
+
+
+@pytest.mark.parametrize("name", sorted(TREES), ids=str)
+def test_no_scipy_at_import(name):
+    # scipy costs more to import than the rest of the library together; the
+    # one routine that needs it (the linear program behind rare hemisphere
+    # centers) imports it inside the function
+    assert [m for m in _import_time_modules(TREES[name]) if m.split(".")[0] == "scipy"] == []
