@@ -21,9 +21,8 @@ import math
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -224,34 +223,21 @@ def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
     return [(d, e) for d, e, _ in rows]
 
 
-@contextmanager
-def _trial_pool(seed: int, counts: Sequence[tuple[int, int]]) -> Iterator[Callable[[], list[np.ndarray]]]:
-    """Start drawing the first `count` trials of each (stream, count) and
-    yield a function that returns their `trial_chunk` rows, one array per
-    stream.
+def _task(task: tuple):
+    """Run one `_map` task (kind, *args): a lune row, a quad-grid row, the
+    triangle table or a trial chunk.  Its function is looked up when it runs,
+    so a forked worker calls what this process would."""
+    kind, *args = task
+    return {"lune": lune_checks, "quad": _quad_errors, "table": tightness_table, "trials": trial_chunk}[kind](*args)
 
-    Each stream is cut into chunks of TRIAL_CHUNK consecutive trials, mapped
-    over a forked process pool with one worker per CPU in this process's
-    affinity mask, so the body of the `with` block runs in this process
-    while the workers draw.  With one CPU, without the fork start method, or
-    where forking is unsafe (a daemonic process, other running threads), the
-    trials run in this process when the rows are asked for.  Leaving the
-    block ends every worker, also on an error.  Every trial draws from its
-    own PCG64 stream and the rows come back in input order, so they depend
-    neither on the worker count nor on the chunk size.
-    """
+
+def _map(tasks: Sequence[tuple]) -> list:
+    """`_task` results of the tasks in input order, mapped one at a time over a
+    forked pool with one worker per CPU in this process's affinity mask, or
+    run here in order with one CPU, without the fork start method, or where
+    forking is unsafe (a daemonic process, other running threads).  The first
+    error in input order ends every worker without waiting for later tasks."""
     import multiprocessing  # here, so that importing the package does not load it
-
-    tasks = [
-        (seed, stream, start, min(start + TRIAL_CHUNK, count))
-        for stream, count in counts
-        for start in range(0, count, TRIAL_CHUNK)
-    ]
-
-    def rows(chunks: Iterable[list[tuple]]) -> list[np.ndarray]:
-        flat = [row for chunk in chunks for row in chunk]
-        ends = np.cumsum([count for _, count in counts])
-        return [np.array(flat[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     can_fork = (
@@ -260,19 +246,34 @@ def _trial_pool(seed: int, counts: Sequence[tuple[int, int]]) -> Iterator[Callab
         and threading.active_count() == 1
     )
     workers = min(cpus, len(tasks)) if can_fork else 1
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            pending = pool.starmap_async(trial_chunk, tasks, chunksize=1)
-            yield lambda: rows(pending.get())
-    else:
-        yield lambda: rows(trial_chunk(*task) for task in tasks)
+    if workers < 2:
+        return [_task(task) for task in tasks]
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return list(pool.imap(_task, tasks))
+
+
+def _chunks(seed: int, counts: Sequence[tuple[int, int]]) -> list[tuple]:
+    """Trial tasks for the first `count` trials of each (stream, count), cut
+    into chunks of TRIAL_CHUNK consecutive trials."""
+    return [
+        ("trials", seed, stream, start, min(start + TRIAL_CHUNK, count))
+        for stream, count in counts
+        for start in range(0, count, TRIAL_CHUNK)
+    ]
+
+
+def _stream_rows(counts: Sequence[tuple[int, int]], chunks: Iterable[list[tuple]]) -> list[np.ndarray]:
+    """The rows of the `_chunks` tasks' results, one array per stream."""
+    flat = [row for chunk in chunks for row in chunk]
+    ends = np.cumsum([count for _, count in counts])
+    return [np.array(flat[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
 
 
 def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:
     """`trial_chunk` rows of the first `count` trials of each (stream, count),
-    drawn by `_trial_pool`."""
-    with _trial_pool(seed, counts) as collect:
-        return collect()
+    one array per stream.  Every trial draws from its own PCG64 stream, so
+    the rows depend neither on the worker count nor on the chunk size."""
+    return _stream_rows(counts, _map(_chunks(seed, counts)))
 
 
 def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], tol: float) -> CheckResult:
@@ -283,11 +284,11 @@ def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], 
     return CheckResult(name, len(margins), min_margin, payload(k), min_margin >= -tol)
 
 
-def _quad_error(kappa: float, lam: float) -> float:
-    """Worst gap between the closed-form quad and its embedding, identity residuals included."""
-    sol = solve_quad(kappa, lam)
-    meas = construct_quad(kappa, lam).measured()
-    return max(abs(sol.mu - meas.mu), abs(sol.nu - meas.nu), abs(sol.xi - meas.xi), *check_identities(meas))
+def _quad_errors(kappa: float, lams: Iterable[float]) -> list[float]:
+    """Worst gap between the closed-form quad and its embedding, identity
+    residuals included, at each (kappa, lam) of one row of the quad grid."""
+    pairs = [(solve_quad(kappa, lam), construct_quad(kappa, lam).measured()) for lam in lams]
+    return [max(abs(s.mu - m.mu), abs(s.nu - m.nu), abs(s.xi - m.xi), *check_identities(m)) for s, m in pairs]
 
 
 def run_verify(config: CampaignConfig) -> CampaignReport:
@@ -303,17 +304,15 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     deltas = [float(d) for d in grid]
     phis = np.array([phi(d) for d in deltas])
     sides = [float(s) for s in np.linspace(*QUAD_GRID_RANGE, QUAD_GRID_STEPS)]
-    quads = [(kappa, lam) for kappa in sides for lam in sides]
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
-    with _trial_pool(seed, [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))]) as collect:
-        # The grid checks run here while the workers draw the trials; without
-        # workers they run first, before the trials grow the heap, so their
-        # large temporaries do not add to the peak.
-        lunes = [lune_checks(d, LUNE_SAMPLES) for d in deltas]
-        quad_margins = [-_quad_error(kappa, lam) for kappa, lam in quads]
-        table = tightness_table(grid)
-        wide, small = collect()
+    counts = [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))]
+    # One task list, grid first: with one CPU the grid checks run before the
+    # trials grow the heap, so their large temporaries do not add to the peak.
+    grid_tasks = [("lune", d, LUNE_SAMPLES) for d in deltas] + [("quad", kappa, sides) for kappa in sides]
+    results = iter(_map([*grid_tasks, ("table", deltas), *_chunks(seed, counts)]))
+    lunes, quad_rows, table = [next(results) for _ in deltas], [next(results) for _ in sides], next(results)
+    wide, small = _stream_rows(counts, results)
     margin, ratio, diam, ext, nverts = wide.T
 
     def at_delta(k: int) -> dict:
@@ -337,8 +336,8 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
         _check("thickness_gap", grid - 2.0 * phis, at_delta, tol),
         _check(
             "quad_closed_form_vs_embedding",
-            quad_margins,
-            lambda k: {"kappa": quads[k][0], "lambda": quads[k][1]},
+            -np.concatenate(quad_rows),
+            lambda k: {"kappa": sides[k // len(sides)], "lambda": sides[k % len(sides)]},
             tol,
         ),
         _check("lune_equilateral_triangle", [-row["equilateral_max_residual"] for row in lunes], at_delta, tol),

@@ -88,6 +88,9 @@ def _verify_config(args) -> CampaignConfig:
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
     fmt = config.output_format
+    if args.out:  # an unwritable path fails before the campaign runs, not after it
+        config.validate()
+        open(args.out, "a", encoding="utf-8").close()
     report = run_verify(config)
     if fmt == "csv":
         text = _rows_to_csv(report.csv_rows())

@@ -124,6 +124,28 @@ class TestRunVerify:
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
+    def test_one_cpu_runs_grid_before_trials(self, monkeypatch):
+        # With one CPU the tasks run in list order, so the grid checks finish
+        # before the trials grow the heap.
+        calls = []
+
+        def recording(name):
+            real = getattr(campaign, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("lune_checks", "random_polygons"):
+            monkeypatch.setattr(campaign, name, recording(name))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run_verify(SMALL).overall_pass
+        first_trial = calls.index("random_polygons")
+        assert calls[:first_trial] == ["lune_checks"] * SMALL.delta_grid.steps
+        assert "lune_checks" not in calls[first_trial:]
+
     def test_report_text_formats(self, small_report):
         text = small_report.to_text()
         assert "overall: PASS" in text

@@ -265,6 +265,23 @@ class TestVerifyCommand:
         assert json.loads(path.read_text())["overall_pass"] is True
         assert path.read_bytes() == out.encode("utf-8")
 
+    def test_unwritable_out_fails_before_campaign(self, capsys, monkeypatch, tmp_path):
+        def planted(config):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_verify", planted)
+        code, out, err = run_cli(capsys, *self.args, "--out", str(tmp_path / "missing" / "report.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [Errno 2] ")
+
+    def test_report_replaces_existing_file(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("an older and longer report\n" * 100)
+        code, out, _ = run_cli(capsys, *self.args, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
     def test_impossible_tolerance_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, *self.args, "--tol", "1e-30")
         assert code == 1
@@ -274,10 +291,9 @@ class TestVerifyCommand:
     def test_trial_error_exit_two(self, capsys, monkeypatch, other_threads):
         # The fork carries the planted fault into the pool's workers, and the
         # message names the process that raised it.  Beside another thread
-        # forking is unsafe, so the trials run in this process.  The pool
-        # pickles the chunk function it maps by name, so the fault is planted
-        # on the batch sampler that function calls, in the batch that holds
-        # wide trial TRIAL_CHUNK.
+        # forking is unsafe, so the trials run in this process.  The fault is
+        # planted on the batch sampler that `trial_chunk` calls, in the batch
+        # that holds wide trial TRIAL_CHUNK.
         real = campaign.random_polygons
         index = campaign.TRIAL_CHUNK
 
@@ -305,22 +321,21 @@ class TestVerifyCommand:
         assert (int(err.split()[-1]) == os.getpid()) == bool(other_threads)
         assert multiprocessing.active_children() == []
 
-    def test_grid_error_ends_pool(self, capsys, monkeypatch):
-        # The grid checks run in this process while the pool's workers draw
-        # the trials; an error there ends the run and every worker.
-        live = []
+    @pytest.mark.parametrize("name", ["lune_checks", "_quad_errors", "tightness_table"])
+    def test_grid_error_ends_pool(self, capsys, monkeypatch, name):
+        # The grid checks are tasks of the same pool as the trial chunks, so
+        # the fork carries a fault planted on any of them into the workers;
+        # an error there ends the run and every worker.
+        def planted(*args):
+            raise DomainError(f"planted in {name} in process {os.getpid()}")
 
-        def planted(delta, samples):
-            live.append(len(multiprocessing.active_children()))
-            raise DomainError(f"planted at delta {delta!r}")
-
-        monkeypatch.setattr(campaign, "lune_checks", planted)
+        monkeypatch.setattr(campaign, name, planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         code, out, err = run_cli(capsys, "verify", "--trials", str(2 * campaign.TRIAL_CHUNK), "--delta-steps", "2")
-        assert live == [2]
         assert code == 2
         assert out == ""
-        assert err.startswith("error: planted at delta ")
+        assert err.startswith(f"error: planted in {name} in process ")
+        assert int(err.split()[-1]) != os.getpid()
         assert multiprocessing.active_children() == []
 
     def test_invalid_config_exit_two(self, capsys):
