@@ -75,13 +75,11 @@ from .campaign import (
     CampaignReport,
     CheckResult,
     DeltaGrid,
-    TrialResult,
     phi_curve,
+    replay,
     run_verify,
-    small_trial,
     tightness_grid,
     tightness_table,
-    wide_trial,
 )
 
 __version__ = "0.1.0"

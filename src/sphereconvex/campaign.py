@@ -11,7 +11,7 @@ order.
 
 Reports are deterministic for a given configuration: random trials draw from
 PCG64 streams keyed by (seed, stream, trial index), so any worst case can be
-regenerated from the payload alone.
+regenerated from the payload alone, by `replay(seed, stream, index)`.
 """
 
 from __future__ import annotations
@@ -173,54 +173,24 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One Monte Carlo polygon with its diameters and bound margins."""
-
-    polygon: SphericalPolygon
-    witness: DiameterWitness
-    extreme_diam: float
-    margin: float
-    ratio: float
-
-
-def _bound_row(diameter: float, extreme: float) -> tuple[float, float]:
-    """Margin over the bound 2*phi(diameter), and the extreme-to-full ratio."""
-    return extreme - 2.0 * phi(diameter), extreme / diameter
-
-
-def wide_trial(seed: int, index: int) -> TrialResult:
-    """Regenerate trial `index` of the wide-diameter Monte Carlo stream."""
-    P, w = random_polygon(seed, index, stream=STREAM_WIDE)
-    ed = extreme_diameter(P)
-    margin, ratio = _bound_row(w.value, ed)
-    return TrialResult(polygon=P, witness=w, extreme_diam=ed, margin=margin, ratio=ratio)
-
-
-def small_trial(seed: int, index: int) -> tuple[SphericalPolygon, float, float]:
-    """Regenerate trial `index` of the small-diameter stream.
-
-    Returns (polygon, boundary diameter, extreme diameter); for diameters at
-    most pi/2 the two diameters agree.
-    """
-    P, w = random_polygon(seed, index, stream=STREAM_SMALL, **STREAM_RANGES[STREAM_SMALL])
-    return P, w.value, extreme_diameter(P)
+def replay(seed: int, stream: int, index: int) -> tuple[SphericalPolygon, DiameterWitness, float]:
+    """Regenerate trial `index` of a Monte Carlo stream: its polygon, the
+    witness of its boundary diameter, and its extreme diameter, as
+    `trial_chunk` gets them."""
+    if stream not in STREAM_RANGES:
+        raise ConfigError(f"unknown trial stream {stream!r}, expected one of {sorted(STREAM_RANGES)}")
+    P, w = random_polygon(seed, index, stream=stream, **STREAM_RANGES[stream])
+    return P, w, extreme_diameter(P)
 
 
 def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
-    """Scalar rows of trials start, ..., stop - 1 of one stream, drawn as one
-    `random_polygons` batch.
-
-    Wide rows are (margin, ratio, diameter, extreme diameter, vertex count),
-    as `wide_trial` gives them; small rows are (boundary diameter, extreme
-    diameter), as `small_trial` gives them.  Only scalars are kept, so no
-    polygon outlives its chunk.
+    """Rows (boundary diameter, extreme diameter, vertex count) of trials
+    start, ..., stop - 1 of one stream, drawn as one `random_polygons` batch.
+    Each row has the bits `replay` gives its trial.  Only scalars are kept,
+    so no polygon outlives its chunk.
     """
     T = random_polygons(seed, range(start, stop), stream=stream, **STREAM_RANGES[stream])
-    rows = zip(T.diameter.tolist(), T.extreme.tolist(), T.vertices.tolist())
-    if stream == STREAM_WIDE:
-        return [(*_bound_row(d, e), d, e, n) for d, e, n in rows]
-    return [(d, e) for d, e, _ in rows]
+    return list(zip(T.diameter.tolist(), T.extreme.tolist(), T.vertices.tolist()))
 
 
 def _task(task: tuple):
@@ -313,7 +283,9 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     results = iter(_map([*grid_tasks, ("table", deltas), *_chunks(seed, counts)]))
     lunes, quad_rows, table = [next(results) for _ in deltas], [next(results) for _ in sides], next(results)
     wide, small = _stream_rows(counts, results)
-    margin, ratio, diam, ext, nverts = wide.T
+    diam, ext, nverts = wide.T
+    margin, ratio = ext - 2.0 * np.array([phi(d) for d in diam]), ext / diam
+    small_diam, small_ext, _ = small.T
 
     def at_delta(k: int) -> dict:
         return {"delta": deltas[k]}
@@ -364,8 +336,8 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
         ),
         _check(
             "small_diameter_extreme_equality",
-            [-abs(bd - ed) for bd, ed in small],
-            lambda k: trial(STREAM_SMALL, k, diameter=float(small[k][0])),
+            -np.abs(small_diam - small_ext),
+            lambda k: trial(STREAM_SMALL, k, diameter=float(small_diam[k])),
             tol,
         ),
     ]

@@ -630,8 +630,13 @@ def random_polygons(
     exists and whose boundary diameter falls inside diameter_range, so its
     result is the one it gets alone, whatever the other trials are.  Each
     hull is charted at its cap's center, the polygon's hemisphere_center, so
-    a cap_radius_range that reaches the horizon raises DomainError.
+    a cap_radius_range that reaches the horizon raises DomainError, as does
+    a seed, stream or index that is not a non-negative integer.
     """
+    indices = list(indices)
+    for name, key in (("seed", seed), ("stream", stream), *(("index", i) for i in indices)):
+        if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or key < 0:
+            raise DomainError(f"{name}={key!r} must be a non-negative integer")
     lo, hi = cap_radius_range
     if not (0.0 < lo <= hi < math.pi / 2 and math.cos(hi) > EPS_HEMI):
         raise DomainError(f"cap_radius_range={cap_radius_range} needs 0 < lo <= hi < pi/2 and cos(hi) > EPS_HEMI")

@@ -44,7 +44,8 @@ def report(number, name, ok, detail):
 def monte_carlo():
     t0 = time.perf_counter()
     (rows,) = trial_rows(SEED, [(STREAM_WIDE, MC_TRIALS)])
-    margins, ratios, diameters = rows[:, 0], rows[:, 1], rows[:, 2]
+    diameters, extremes = rows[:, 0], rows[:, 1]
+    margins, ratios = extremes - 2.0 * np.array([phi(d) for d in diameters]), extremes / diameters
     elapsed = time.perf_counter() - t0
     return {"margins": margins, "ratios": ratios, "diameters": diameters, "elapsed": elapsed}
 
@@ -254,7 +255,7 @@ def test_criterion_7_diameter_ratio(monte_carlo):
 def test_criterion_8_small_diameter_equality():
     worst = 0.0
     (rows,) = trial_rows(SEED, [(STREAM_SMALL, 1000)])
-    for bd, ed in rows:
+    for bd, ed, _ in rows:
         assert bd <= math.pi / 2
         worst = max(worst, abs(bd - ed))
     ok = worst <= 1e-9

@@ -39,10 +39,8 @@ def bits(a) -> np.ndarray:
 
 
 def scalar_row(stream: int, index: int) -> tuple:
-    if stream == STREAM_WIDE:
-        t = campaign.wide_trial(SEED, index)
-        return t.margin, t.ratio, t.witness.value, t.extreme_diam, t.polygon._varr.shape[0]
-    return campaign.small_trial(SEED, index)[1:]
+    P, w, ed = campaign.replay(SEED, stream, index)
+    return w.value, ed, P._varr.shape[0]
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +69,21 @@ def counting(monkeypatch, *names) -> dict:
 def test_rare_trials_take_their_paths(monkeypatch, index):
     # a redraw (diameter out of range), and no linear program for any cloud
     calls = counting(monkeypatch, "_draw", "_lp_center")
-    campaign.wide_trial(SEED, index)
+    campaign.replay(SEED, STREAM_WIDE, index)
     assert (calls["_draw"], calls["_lp_center"]) == (RARE_WIDE[index], 0)
 
 
-def test_chunk_rows_equal_scalar_rows():
-    start, stop = 260, 280  # holds trial 269: three redraws and a cloud the vector sum cannot chart
-    got = campaign.trial_chunk(SEED, STREAM_WIDE, start, stop)
-    assert np.array_equal(bits(got), bits([scalar_row(STREAM_WIDE, i) for i in range(start, stop)]))
+@pytest.mark.parametrize(
+    "stream, start, stop",
+    [
+        (STREAM_WIDE, 260, 280),  # holds trial 269: three redraws and a cloud the vector sum cannot chart
+        (STREAM_SMALL, 980, 1000),  # the last small trials `verify` draws
+    ],
+    ids=["wide", "small"],
+)
+def test_chunk_rows_equal_scalar_rows(stream, start, stop):
+    got = campaign.trial_chunk(SEED, stream, start, stop)
+    assert np.array_equal(bits(got), bits([scalar_row(stream, i) for i in range(start, stop)]))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])

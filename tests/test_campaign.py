@@ -13,14 +13,13 @@ from sphereconvex import (
     DeltaGrid,
     phi,
     phi_curve,
+    replay,
     run_verify,
-    small_trial,
     tightness_grid,
     tightness_table,
-    wide_trial,
 )
 from sphereconvex import campaign
-from sphereconvex.campaign import LUNE_SAMPLES
+from sphereconvex.campaign import LUNE_SAMPLES, STREAM_SMALL, STREAM_WIDE
 from sphereconvex.cli import main
 
 PHI_AT_TWO_PI_THIRD = 0.935929455661326
@@ -67,13 +66,21 @@ class TestRunVerify:
         assert json.dumps(d1, indent=2) == json.dumps(d2, indent=2)
 
     def test_worst_case_reproducible(self, small_report):
-        mc = next(c for c in small_report.checks if c.name == "extreme_diameter_lower_bound_mc")
-        payload = mc.worst_case_payload
-        t = wide_trial(payload["seed"], payload["trial"])
-        assert t.margin == pytest.approx(mc.min_margin, abs=1e-12)
-        small = next(c for c in small_report.checks if c.name == "small_diameter_extreme_equality")
-        _, bd, ed = small_trial(small.worst_case_payload["seed"], small.worst_case_payload["trial"])
-        assert abs(bd - ed) == pytest.approx(-small.min_margin, abs=1e-12)
+        # each trial worst case replays from its payload alone, to the bit
+        checks = {c.name: c for c in small_report.checks}
+
+        def replayed(name: str) -> tuple[float, float]:
+            payload = checks[name].worst_case_payload
+            _, w, ed = replay(payload["seed"], payload["stream"], payload["trial"])
+            return w.value, ed
+
+        d, ed = replayed("extreme_diameter_lower_bound_mc")
+        assert ed - 2.0 * phi(d) == checks["extreme_diameter_lower_bound_mc"].min_margin
+        bd, ed = replayed("small_diameter_extreme_equality")
+        assert -abs(bd - ed) == checks["small_diameter_extreme_equality"].min_margin
+        if "trial" in checks["extreme_to_full_diameter_ratio"].worst_case_payload:
+            d, ed = replayed("extreme_to_full_diameter_ratio")
+            assert ed / d - 2.0 / 3.0 == checks["extreme_to_full_diameter_ratio"].min_margin
 
     @pytest.mark.parametrize(
         "check, key, sign",
@@ -235,17 +242,17 @@ class TestTightness:
 
 class TestTrials:
     def test_wide_trial_deterministic(self):
-        a = wide_trial(42, 3)
-        b = wide_trial(42, 3)
-        assert a.witness.value == b.witness.value
-        assert a.margin == b.margin
-        va = np.array([p.v for p in a.polygon.vertices])
-        vb = np.array([p.v for p in b.polygon.vertices])
+        Pa, wa, eda = replay(42, STREAM_WIDE, 3)
+        Pb, wb, edb = replay(42, STREAM_WIDE, 3)
+        assert wa.value == wb.value
+        assert eda - 2.0 * phi(wa.value) == edb - 2.0 * phi(wb.value)
+        va = np.array([p.v for p in Pa.vertices])
+        vb = np.array([p.v for p in Pb.vertices])
         assert np.array_equal(va, vb)
 
     def test_streams_are_independent(self):
-        P_wide, _ = (t := wide_trial(42, 0)).polygon, t.witness
-        P_small, _, _ = small_trial(42, 0)
+        P_wide, _, _ = replay(42, STREAM_WIDE, 0)
+        P_small, _, _ = replay(42, STREAM_SMALL, 0)
         assert len(P_wide.vertices) != len(P_small.vertices) or not np.allclose(
             np.array([p.v for p in P_wide.vertices[:3]]),
             np.array([p.v for p in P_small.vertices[:3]]),
@@ -253,10 +260,10 @@ class TestTrials:
 
     def test_wide_trial_diameter_in_range(self):
         for idx in range(20):
-            t = wide_trial(11, idx)
-            assert math.pi / 2 < t.witness.value < math.pi
+            _, w, _ = replay(11, STREAM_WIDE, idx)
+            assert math.pi / 2 < w.value < math.pi
 
     def test_small_trial_diameter_in_range(self):
         for idx in range(20):
-            _, bd, _ = small_trial(11, idx)
-            assert 0.0 < bd <= math.pi / 2
+            _, w, _ = replay(11, STREAM_SMALL, idx)
+            assert 0.0 < w.value <= math.pi / 2

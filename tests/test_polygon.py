@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sphereconvex import (
     EPS_ANTIPODE,
+    ConfigError,
     DegenerateHull,
     DiameterOutOfRange,
     DomainError,
@@ -28,12 +29,11 @@ from sphereconvex import (
     extreme_points,
     random_polygon,
     regular_triangle,
-    small_trial,
-    wide_trial,
+    replay,
     phi,
 )
 from sphereconvex import polygon as pg
-from sphereconvex.campaign import STREAM_RANGES
+from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
 from support import (
     chart_contains,
     edge_edge_candidates,
@@ -508,6 +508,27 @@ class TestRandomPolygon:
         with pytest.raises(DomainError, match="cap_radius_range"):
             random_polygon(1, 0, cap_radius_range=cap_radius_range)
 
+    # numpy's SeedSequence would raise a bare ValueError or TypeError for the
+    # negative and fractional keys; `replay` knows only the campaign's streams
+    @pytest.mark.parametrize(
+        "draw, args, kwargs, error, match",
+        [
+            (random_polygon, (42, -1), {}, DomainError, "index=-1"),
+            (random_polygon, (-1, 0), {}, DomainError, "seed=-1"),
+            (random_polygon, (42, 0), {"stream": -1}, DomainError, "stream=-1"),
+            (random_polygon, (42, 1.5), {}, DomainError, "index=1.5"),
+            (random_polygon, (42.0, 0), {}, DomainError, "seed=42.0"),
+            (random_polygon, (42, True), {}, DomainError, "index=True"),
+            (replay, (42, 0, -1), {}, DomainError, "index=-1"),
+            (replay, (42, 2, 0), {}, ConfigError, "stream 2"),
+            (replay, (42, -1, 0), {}, ConfigError, "stream -1"),
+        ],
+    )
+    def test_trial_key_rejected_before_any_draw(self, monkeypatch, draw, args, kwargs, error, match):
+        monkeypatch.setattr(pg, "_draw", None)  # a draw would raise TypeError
+        with pytest.raises(error, match=match):
+            draw(*args, **kwargs)
+
     @pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
     def test_stream_ranges_accepted(self, stream):
         P, _ = random_polygon(1, 0, stream=stream, **STREAM_RANGES[stream])
@@ -553,14 +574,14 @@ class TestMargin:
 
     def test_random_margins_nonnegative(self):
         for idx in range(150):
-            t = wide_trial(98, idx)
-            assert t.margin >= -1e-9
-            assert t.ratio > 2.0 / 3.0
+            _, w, ed = replay(98, STREAM_WIDE, idx)
+            assert ed - 2.0 * phi(w.value) >= -1e-9
+            assert ed / w.value > 2.0 / 3.0
 
     def test_small_diameter_equality(self):
         for idx in range(100):
-            _, bd, ed = small_trial(55, idx)
-            assert abs(bd - ed) <= 1e-9
+            _, w, ed = replay(55, STREAM_SMALL, idx)
+            assert abs(w.value - ed) <= 1e-9
 
 
 class TestRotationInvariance:
