@@ -202,11 +202,15 @@ def _task(task: tuple):
 
 
 def _map(tasks: Sequence[tuple]) -> list:
-    """`_task` results of the tasks in input order, mapped one at a time over a
-    forked pool with one worker per CPU in this process's affinity mask, or
-    run here in order with one CPU, without the fork start method, or where
-    forking is unsafe (a daemonic process, other running threads).  The first
-    error in input order ends every worker without waiting for later tasks."""
+    """`_task` results of the tasks in input order, mapped one at a time over
+    forked workers, one per CPU in this process's affinity mask, or run here
+    in order with one CPU, without the fork start method, or where forking
+    is unsafe (a daemonic process, other running threads).  The first error
+    in input order cancels every task not yet started, and the workers end
+    once their running tasks do.  No worker is killed: `multiprocessing.Pool`
+    kills its workers on an error, and one killed while it holds the result
+    queue's lock blocks `Pool.terminate` for good.  A worker that dies raises
+    `BrokenProcessPool` here."""
     import multiprocessing  # here, so that importing the package does not load it
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -218,8 +222,13 @@ def _map(tasks: Sequence[tuple]) -> list:
     workers = min(cpus, len(tasks)) if can_fork else 1
     if workers < 2:
         return [_task(task) for task in tasks]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return list(pool.imap(_task, tasks))
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return [future.result() for future in [pool.submit(_task, task) for task in tasks]]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _chunks(seed: int, counts: Sequence[tuple[int, int]]) -> list[tuple]:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,24 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith(f"error: planted in {name} in process ")
         assert int(err.split()[-1]) != os.getpid()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_ends_run(self, monkeypatch):
+        # A worker that dies in the batch that holds wide trial TRIAL_CHUNK
+        # ends the run with an error instead of leaving it waiting for a
+        # result that never comes.  The fault fires only in a forked worker.
+        real = campaign.random_polygons
+        parent = os.getpid()
+
+        def planted(seed, indices, *, stream, **ranges):
+            if stream == campaign.STREAM_WIDE and campaign.TRIAL_CHUNK in indices and os.getpid() != parent:
+                os._exit(3)
+            return real(seed, indices, stream=stream, **ranges)
+
+        monkeypatch.setattr(campaign, "random_polygons", planted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(BrokenProcessPool):
+            main(["verify", "--trials", str(campaign.TRIAL_CHUNK + 1), "--delta-steps", "2"])
         assert multiprocessing.active_children() == []
 
     def test_invalid_config_exit_two(self, capsys):
