@@ -10,7 +10,9 @@ convexity inside the chart coincides with spherical convexity.
 The boundary diameter is computed by exact candidate enumeration rather than
 sampling: for diameters above pi/2 one point of the farthest boundary pair
 may sit in the interior of an edge, where the connecting geodesic meets that
-edge orthogonally.
+edge orthogonally.  Stacked dot products first drop the candidates that
+provably lose, so the O(n^2) work is a few products per pair, and angles
+are taken for the few that remain.
 
 Every stage works on a stack of K rings at once: a (K, m, 3) array in which
 ring k repeats its n_k vertices cyclically up to the width m, so each padded
@@ -22,7 +24,10 @@ values it gets alone, and the scalar functions are the stacked ones at K = 1.
 Only the random draws run once per ring; the planar hulls too are taken on
 the padded stack.  Hulls are charted at a center the caller gives: a random
 polygon at its sampling cap's center, and other point sets at the center
-`_hemisphere_center` searches.
+`_hemisphere_center` searches: their normalized vector sum or, where some
+point has a dot of at most EPS_HEMI with it, the center of largest margin,
+the direction of the point of the set's convex hull in R^3 nearest the
+origin, which Wolfe's nearest-point algorithm finds in plain numpy.
 """
 
 from __future__ import annotations
@@ -67,6 +72,10 @@ _CHART_ULPS = 16
 # kept well below reporting tolerances so off-arc candidates cannot inflate
 # the diameter by more than ~1e-10.
 _ARC_SLACK = 1e-10
+
+# Major cycles of `_nearest_center` before it gives up; in R^3 its support
+# has at most four points, and it settles in a few cycles.
+_NEAREST_CYCLES = 100
 
 # Inclusive range of the number of cap samples behind each random polygon.
 NUM_POINTS_RANGE = (5, 50)
@@ -275,29 +284,57 @@ class DiameterWitness:
         }
 
 
-def _lp_center(pts: np.ndarray) -> np.ndarray:
+def _nearest_center(pts: np.ndarray) -> np.ndarray:
     """Center of the open hemisphere that holds pts with the largest margin.
 
-    Solves the linear program max t s.t. pts @ c >= t, |c_i| <= 1, which
-    certifies whether an open hemisphere exists.  Raises NoHemisphere when it
-    does not (or when the margin cannot beat EPS_HEMI).
+    Let x* be the point of the convex hull of pts (in R^3) nearest the
+    origin.  Every p of the hull has p . x* >= |x*|^2, so c = x*/|x*| gives
+    every point a dot of at least |x*|, and no unit c does better, as
+    min_i pts_i . c <= x* . c <= |x*|.  So the best margin is |x*|, and no
+    open hemisphere holds pts when x* is the origin.
+
+    Wolfe's nearest-point algorithm (1976) finds x* as a convex combination
+    lam of a support S of at most four points.  Each major cycle adds the
+    point least in the direction of the iterate x; each minor cycle moves x
+    to the point of the affine hull of S nearest the origin, or, where that
+    point leaves the convex hull of S, as far toward it as the hull allows,
+    dropping a support point.  It stops when no point is below x by more
+    than 1e-13 |x| (x . x - p . x), which puts c's margin within 1e-13 of
+    |x*|.  Raises NoHemisphere when |x| falls below 1e-12, when c's margin
+    is at most EPS_HEMI, or when `_NEAREST_CYCLES` major cycles do not
+    settle.
     """
-    from scipy.optimize import linprog  # costly import; uniform caps rarely get here
-    n = pts.shape[0]
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=np.hstack([-pts, np.ones((n, 1))]),
-        b_ub=np.zeros(n),
-        bounds=[(-1.0, 1.0)] * 3 + [(None, None)],
-        method="highs",
-    )
-    if not res.success or res.x[3] <= 1e-9:
-        raise NoHemisphere("no open hemisphere strictly contains all points")
-    c = res.x[:3]
-    nc = float(np.linalg.norm(c))
-    if nc < 1e-12:
-        raise NoHemisphere("no open hemisphere strictly contains all points")
-    c = c / nc
+    S, lam = [0], np.ones(1)
+    for _ in range(_NEAREST_CYCLES):
+        x = lam @ pts[S]
+        nx = float(np.linalg.norm(x))
+        if nx < 1e-12:
+            raise NoHemisphere("no open hemisphere strictly contains all points")
+        d = pts @ x
+        j = int(np.argmin(d))
+        if nx * nx - d[j] <= 1e-13 * nx or j in S:
+            break
+        S, lam = S + [j], np.append(lam, 0.0)
+        while True:  # each pass that does not end the cycle drops a point, and one point ends it
+            # the nearest point Q[0] + (Q[1:] - Q[0]).T @ beta of the affine
+            # hull, by least squares on the differences, whose condition is
+            # the flatness of S and not its square, as a Gram matrix's would
+            # be; a flatter S than rounding resolves is taken as its plane
+            Q = pts[S]
+            beta = np.linalg.lstsq((Q[1:] - Q[0]).T, -Q[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - beta.sum()], beta])
+            if np.all(alpha > 0.0):
+                lam = alpha
+                break
+            out = alpha <= 0.0
+            step = np.where(out, lam / np.where(out & (lam > alpha), lam - alpha, 1.0), np.inf)
+            r = int(np.argmin(step))
+            lam = lam + step[r] * (alpha - lam)
+            keep = (lam > 0.0) & (np.arange(len(S)) != r)
+            S, lam = [s for s, kept in zip(S, keep) if kept], lam[keep]
+    else:
+        raise NoHemisphere(f"nearest-point search did not settle in {_NEAREST_CYCLES} cycles")
+    c = x / nx
     if float(np.min(pts @ c)) <= EPS_HEMI:
         raise NoHemisphere("hemisphere containment margin below EPS_HEMI")
     return c
@@ -306,8 +343,9 @@ def _lp_center(pts: np.ndarray) -> np.ndarray:
 def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
     """A unit vector with dot above EPS_HEMI against every point of pts.
 
-    Tries the normalized vector sum first and falls back to `_lp_center`,
-    which raises NoHemisphere when there is none.
+    Tries the normalized vector sum first and falls back to
+    `_nearest_center`, the center of largest margin, which raises
+    NoHemisphere when there is none.
     """
     s = pts.sum(axis=0)
     ns = float(np.linalg.norm(s))
@@ -315,7 +353,7 @@ def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
         c = s / ns
         if float(np.min(pts @ c)) > EPS_HEMI:
             return c
-    return _lp_center(pts)
+    return _nearest_center(pts)
 
 
 def _extreme_rings(R: _Rings) -> tuple[_Rings, np.ndarray]:
@@ -456,18 +494,35 @@ def extreme_points(P: SphericalPolygon) -> list[SpherePoint]:
     return [SpherePoint(v) for v in P._varr[P._extreme]]
 
 
-def _pair_angles(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows i < j of a padded stack in row-major order, and each ring's (K, pairs) angles between them."""
-    iu, ju = np.triu_indices(V.shape[1], k=1)
-    return iu, ju, vecmath.ang(V[:, iu], V[:, ju])
+def _pair_angles(V: np.ndarray) -> np.ndarray:
+    """(K, m, m) angles between rows i < j of each ring of a padded stack.
+
+    Only the pairs that may be farthest get their angle; every other entry
+    is -inf, which no farthest pair has.  The cosines of the rows as unit
+    vectors, one stacked product, are within a few ulps of the true ones,
+    and `vecmath.ang` is within a few ulps of the true angle.  A pair whose
+    cosine is above the ring's least by more than 1e-12 is so at least
+    1e-12 - 1e-15 truly, so it is truly nearer by as much (|d cos| <= |d
+    angle|), and its angle rounds below that of the pair of least cosine:
+    it neither is the farthest pair nor ties with it.  The padded rows are
+    copies, so each ring's least cosine over the padded square is its own.
+    """
+    m = V.shape[1]
+    U = vecmath.unit(V)
+    D = np.matmul(U, U.transpose(0, 2, 1))
+    ki, i, j = np.nonzero((D <= D.min(axis=(1, 2), keepdims=True) + 1e-12) & (np.arange(m)[:, None] < np.arange(m)))
+    G = np.full(D.shape, -np.inf)
+    G[ki, i, j] = vecmath.ang(V[ki, i], V[ki, j])
+    return G
 
 
-def _farthest(pairs: tuple, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per ring, the first pair i < j < n of `_pair_angles` at the largest
-    angle: rows i, rows j and the angle."""
-    iu, ju, G = pairs
-    k = np.where(ju < n[:, None], G, -np.inf).argmax(axis=1)
-    return iu[k], ju[k], G[np.arange(len(k)), k]
+def _farthest(G: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ring, the first pair i < j < n in row-major order at the largest
+    angle of `_pair_angles`: rows i, rows j and the angle."""
+    K, m = G.shape[:2]
+    k = np.where(np.arange(m) < n[:, None, None], G, -np.inf).reshape(K, -1).argmax(axis=1)
+    i, j = np.divmod(k, m)
+    return i, j, G[np.arange(K), i, j]
 
 
 def extreme_diameter(P: SphericalPolygon) -> float:
@@ -476,35 +531,72 @@ def extreme_diameter(P: SphericalPolygon) -> float:
     return float(_farthest(_pair_angles(V), np.array([V.shape[1]]))[2][0])
 
 
-def _boundary_diameters(R: _Rings, pairs: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Farthest pair of boundary points of each ring; see `boundary_diameter`.
 
     Returns the (K,) diameters, whether each is attained vertex-edge, and the
     (K, 3) witness points p and q.
+
+    Only the (vertex v, edge AB) pairs that pass three tests get a far point.
+    Rows of V are unit to EPS_UNIT and the products are good to a few ulps,
+    so each test's slack is far above its rounding, and a dropped pair has
+    no say in the result:
+    - sides, v.(N x A) <= 1e-9 and v.(B x N) <= 1e-9.  far is -W/|W|, with
+      W the part of v in the edge's plane and |W| <= |v|, so where either is
+      above 1e-9, far lies beyond an end of the arc by more than 9.9e-10 rad
+      (rounding moves W.(N x A) = v.(N x A) by a few ulps, and a far off the
+      circle only adds), ang(A, far) + ang(far, B) exceeds L by more than
+      1.9e-9, and the on-arc test, with its slack of 1e-10, drops the pair
+      anyway.
+    - reach, |v.N| < sin(pi - value + 1e-9), where value, the vertex-vertex
+      diameter, is above pi/2 + 0.01 (below it every pair passes).  far is
+      at pi - asin(|v.N| / |v|) from v, |v.N| is within 1e-12 of |v.N| / |v|,
+      and asin has slope 1/cos, at most 100 here, so a dropped pair is truly
+      within value - 1e-9 + 1e-10 of v.  Its computed distance adds ang's
+      few ulps and far's rounding, 1e-16 / |W|: below 1e-14 where the gap to
+      value is that small, and below 1e-7, by the pole test, where v nears
+      the pole and the gap nears value - pi/2.  So it rounds below value,
+      and only a pair above value can win.
     """
     V, L, N = R.V, R.L, R.N
     K, m = L.shape
     valid = np.arange(m) < R.n[:, None]
-    i, j, value = _farthest(pairs, R.n)  # (a) vertex-vertex
+    i, j, value = _farthest(G, R.n)  # (a) vertex-vertex
 
-    # (b) vertex-edge: farthest point of each edge circle from each vertex
-    W = V[:, :, None, :] - np.matmul(V, N.transpose(0, 2, 1))[..., None] * N[:, None, :, :]  # (ring, vertex, edge, 3)
+    # (b) vertex-edge: the point of each edge circle farthest from each
+    # vertex, for the (ring, vertex, edge) pairs the three tests keep
+    B = _take(V, _shift(R.n, m, 1))
+    S = np.matmul(V, N.transpose(0, 2, 1))
+    sides = np.matmul(V, np.concatenate([vecmath.cross(N, V), vecmath.cross(B, N)], axis=1).transpose(0, 2, 1))
+    reach = np.where(value > math.pi / 2 + 0.01, np.sin(math.pi - value + 1e-9), np.inf)
+    ki, vi, ei = np.nonzero(
+        (np.abs(S) < reach[:, None, None])
+        & (sides[:, :, :m] <= 1e-9)
+        & (sides[:, :, m:] <= 1e-9)
+        & valid[:, :, None]
+        & valid[:, None, :]
+    )
+    W = V[ki, vi] - S[ki, vi, ei][:, None] * N[ki, ei]
     wn = vecmath.norm(W)
-    far = -W / np.maximum(wn, 1e-300)[..., None]
+    far = -W / np.maximum(wn, 1e-300)[:, None]
     # kept where the vertex is not a pole of the edge circle and far, already
     # on that circle, lies on the edge arc
-    B = _take(V, _shift(R.n, m, 1))
-    on_arc = vecmath.ang(V[:, None], far) + vecmath.ang(far, B[:, None]) <= L[:, None, :] + _ARC_SLACK
-    ki, vi, ei = np.nonzero((wn > 1e-9) & on_arc & valid[:, :, None] & valid[:, None, :])
-    dist = np.full((K, m * m), -np.inf)
-    dist[ki, vi * m + ei] = vecmath.ang(V[ki, vi], far[ki, vi, ei])
+    on_arc = vecmath.ang(V[ki, ei], far) + vecmath.ang(far, B[ki, ei]) <= L[ki, ei] + _ARC_SLACK
+    keep = (wn > 1e-9) & on_arc
+    ki, vi, far = ki[keep], vi[keep], far[keep]
+    dist = vecmath.ang(V[ki, vi], far)
+    # the largest candidate of each ring, the first in row-major order on a
+    # tie: nonzero lists them in that order and lexsort is stable
+    order = np.lexsort((-dist, ki))
+    first = order[np.diff(ki[order], prepend=-1) != 0]
+    first = first[dist[first] > value[ki[first]]]
+    rings = ki[first]
+    edge = np.zeros(K, dtype=bool)
+    edge[rings] = True
     kk = np.arange(K)
-    e = dist.argmax(axis=1)  # row-major, the scan order for ties
-    edge = dist[kk, e] > value
-    vi, ei = np.divmod(e, m)
-    p = np.where(edge[:, None], V[kk, vi], V[kk, i])
-    q = np.where(edge[:, None], far[kk, vi, ei], V[kk, j])
-    return np.where(edge, dist[kk, e], value), edge, p, q
+    p, q = V[kk, i], V[kk, j]
+    p[rings], q[rings], value[rings] = V[rings, vi[first]], far[first], dist[first]
+    return value, edge, p, q
 
 
 def _witness(value, edge, p, q) -> DiameterWitness:
@@ -528,6 +620,11 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
 
     Ties resolve to (a) before (b), and within a class to the first pair in
     scan order, so the witness is deterministic.
+
+    Stacked dot products first drop the candidates that provably lose, each
+    test with a slack far above its rounding (`_pair_angles`,
+    `_boundary_diameters`); the rest get the full enumeration's formulas, so
+    the result is the same to the bit.
     """
     R = P._as_stack()
     return _witness(*(a[0] for a in _boundary_diameters(R, _pair_angles(R.V))))
@@ -661,13 +758,13 @@ def random_polygons(
         if R is None:
             continue
         hulled = todo[[k for k, e in enumerate(errors) if e is None]]
-        pairs = _pair_angles(R.V)
-        value, edge, wp, wq = _boundary_diameters(R, pairs)
+        G = _pair_angles(R.V)
+        value, edge, wp, wq = _boundary_diameters(R, G)
         hit = (diameter_range[0] < value) & (value < diameter_range[1])
         done = hulled[hit]
         diameter[done], vertex_edge[done], p[done], q[done] = value[hit], edge[hit], wp[hit], wq[hit]
         # every vertex of a hull is extreme: its vertex-vertex diameter is the extreme one
-        extreme[done], vertices[done] = _farthest(pairs, R.n)[2][hit], R.n[hit]
+        extreme[done], vertices[done] = _farthest(G, R.n)[2][hit], R.n[hit]
         for k, row in zip(done, np.flatnonzero(hit)):
             polygons[k] = (R, row)
         todo = np.setdiff1d(todo, done, assume_unique=True)  # without np.unique, which imports numpy.ma

@@ -6,8 +6,11 @@ stacks; the scalar API runs the same kernels on stacks of one.  These tests
 compare the two bit for bit, on the rare paths too.
 """
 
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,9 +25,11 @@ from sphereconvex import (
     campaign,
     convex_hull,
     extreme_diameter,
+    phi,
+    regular_triangle,
 )
 from sphereconvex import polygon as pg
-from sphereconvex.campaign import STREAM_SMALL, STREAM_WIDE
+from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
 from sphereconvex.core import _as_unit_rows
 
 SEED = 42
@@ -67,10 +72,10 @@ def counting(monkeypatch, *names) -> dict:
 
 @pytest.mark.parametrize("index", sorted(RARE_WIDE))
 def test_rare_trials_take_their_paths(monkeypatch, index):
-    # a redraw (diameter out of range), and no linear program for any cloud
-    calls = counting(monkeypatch, "_draw", "_lp_center")
+    # a redraw (diameter out of range), and no hemisphere search for any cloud
+    calls = counting(monkeypatch, "_draw", "_nearest_center")
     campaign.replay(SEED, STREAM_WIDE, index)
-    assert (calls["_draw"], calls["_lp_center"]) == (RARE_WIDE[index], 0)
+    assert (calls["_draw"], calls["_nearest_center"]) == (RARE_WIDE[index], 0)
 
 
 @pytest.mark.parametrize(
@@ -90,11 +95,11 @@ def test_chunk_rows_equal_scalar_rows(stream, start, stop):
 def test_rows_independent_of_chunk_size(monkeypatch, scalar_rows, chunk):
     monkeypatch.setattr(campaign, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    calls = counting(monkeypatch, "_lp_center")
+    calls = counting(monkeypatch, "_nearest_center")
     wide, small = campaign.trial_rows(SEED, [(STREAM_WIDE, 24), (STREAM_SMALL, 10)])
     assert np.array_equal(bits(wide), bits(scalar_rows[STREAM_WIDE]))
     assert np.array_equal(bits(small), bits(scalar_rows[STREAM_SMALL]))
-    assert calls["_lp_center"] == 0
+    assert calls["_nearest_center"] == 0
 
 
 def cap_cloud(rng, count: int, radius: float) -> np.ndarray:
@@ -207,20 +212,20 @@ def test_hull_clouds_take_the_rare_paths(monkeypatch):
 
 def test_hull_stack_equals_single_hulls(monkeypatch):
     clouds = hull_clouds()
-    lp = counting(monkeypatch, "_lp_center")
-    alone, lp_clouds = [], []
+    searches = counting(monkeypatch, "_nearest_center")
+    alone, searched_clouds = [], []
     for k, cloud in enumerate(clouds):
-        before = lp["_lp_center"]
+        before = searches["_nearest_center"]
         try:
             alone.append(convex_hull(cloud))
         except (DegenerateHull, NoHemisphere) as exc:
             alone.append(exc)
-        if lp["_lp_center"] > before:
-            lp_clouds.append(k)
+        if searches["_nearest_center"] > before:
+            searched_clouds.append(k)
     assert {type(x).__name__ for x in alone} == {"SphericalPolygon", "DegenerateHull", "NoHemisphere"}
-    # the single hulls took the linear-programming centers: the two clouds
-    # with an outlier, and the antipodal cloud, which has none
-    assert lp_clouds == [3, 6, 9]
+    # the single hulls took the nearest-point centers: the two clouds with
+    # an outlier, and the antipodal cloud, which has none
+    assert searched_clouds == [3, 6, 9]
     # a cloud without a hemisphere has no chart center to stack; the others
     # are charted at their single hull's center
     stacked = [k for k, x in enumerate(alone) if not isinstance(x, NoHemisphere)]
@@ -228,7 +233,7 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
         k: alone[k].hemisphere_center.v if isinstance(alone[k], SphericalPolygon) else pg._hemisphere_center(clouds[k])
         for k in stacked
     }
-    calls = counting(monkeypatch, "_rings", "_lp_center")
+    calls = counting(monkeypatch, "_rings", "_nearest_center")
     for order in (stacked, stacked[::-1]):
         P, n = pg._cyclic([clouds[k] for k in order])
         R, errors = pg._hulls(P, n, np.array([centers[k] for k in order]))
@@ -246,7 +251,7 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
         assert row == len(R.n)
     # the stacks took the rebuild rounds, and searched no center
     assert calls["_rings"] >= 4
-    assert calls["_lp_center"] == 0
+    assert calls["_nearest_center"] == 0
 
 
 def test_tie_goes_to_first_pair_in_a_stack():
@@ -271,3 +276,155 @@ def test_tie_goes_to_first_pair_in_a_stack():
         k = polys.index(square)
         assert not edge[k]
         assert np.array_equal(p[k], V[0]) and np.array_equal(q[k], V[2])
+
+
+def test_searched_center_loads_no_scipy():
+    # the outlier cloud falls back from the vector sum to the nearest-point
+    # center, in a child that has not loaded scipy for these tests
+    src = os.path.dirname(os.path.dirname(pg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import json, sys; import numpy as np; from sphereconvex import polygon as pg; "
+        "real = pg._nearest_center; calls = []; "
+        "pg._nearest_center = lambda pts: calls.append(1) or real(pts); "
+        "pg.convex_hull(np.array(json.load(sys.stdin))); "
+        "print(len(calls), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        input=json.dumps(hull_clouds()[3].tolist()),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1 []"
+
+
+def dense_boundary_diameters(R) -> tuple:
+    """Both candidate classes enumerated over every pair, with no prefilter:
+    the reference that `pg._pair_angles` and `pg._boundary_diameters` must
+    match to the bit.  Returns the vertex-vertex (i, j, angle) and the
+    boundary diameter's (value, vertex-edge, p, q)."""
+    V, L, N = R.V, R.L, R.N
+    K, m = L.shape
+    valid = np.arange(m) < R.n[:, None]
+    upper = (np.arange(m)[:, None] < np.arange(m)) & (np.arange(m) < R.n[:, None, None])
+    A = np.where(upper, pg.vecmath.ang(V[:, :, None], V[:, None, :]), -np.inf).reshape(K, m * m)
+    i, j = np.divmod(A.argmax(axis=1), m)  # row-major, the scan order for ties
+    value = A[np.arange(K), i * m + j]
+    W = V[:, :, None, :] - np.matmul(V, N.transpose(0, 2, 1))[..., None] * N[:, None, :, :]
+    wn = pg.vecmath.norm(W)
+    far = -W / np.maximum(wn, 1e-300)[..., None]
+    B = pg._take(V, pg._shift(R.n, m, 1))
+    on_arc = pg.vecmath.ang(V[:, None], far) + pg.vecmath.ang(far, B[:, None]) <= L[:, None, :] + pg._ARC_SLACK
+    ki, vi, ei = np.nonzero((wn > 1e-9) & on_arc & valid[:, :, None] & valid[:, None, :])
+    dist = np.full((K, m * m), -np.inf)
+    dist[ki, vi * m + ei] = pg.vecmath.ang(V[ki, vi], far[ki, vi, ei])
+    kk = np.arange(K)
+    e = dist.argmax(axis=1)
+    edge = dist[kk, e] > value
+    vi, ei = np.divmod(e, m)
+    p = np.where(edge[:, None], V[kk, vi], V[kk, i])
+    q = np.where(edge[:, None], far[kk, vi, ei], V[kk, j])
+    return (i, j, value), (np.where(edge, dist[kk, e], value), edge, p, q)
+
+
+def stack_of(polys) -> pg._Rings:
+    Vs, n = pg._cyclic([P._varr for P in polys])
+    return pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
+
+
+def near_circular_stacks() -> list:
+    """Hulls of 20-150 vertices: points within 0.2% of a circle in a wide cap."""
+    rng = np.random.default_rng(16)
+    polys = []
+    for count in (32, 64, 128, 256, 512):
+        center = rng.normal(size=3)
+        center /= np.linalg.norm(center)
+        e1, e2 = pg._chart_basis(center[None])
+        theta = rng.uniform(math.pi / 4, math.pi / 2) * (1.0 - 0.002 * rng.uniform(size=count))
+        az = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        ring = np.cos(az)[:, None] * e1 + np.sin(az)[:, None] * e2
+        polys.append(convex_hull(np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * ring))
+    assert 20 <= min(P._varr.shape[0] for P in polys) and max(P._varr.shape[0] for P in polys) <= 150
+    return [stack_of([P]) for P in polys] + [stack_of(polys)]
+
+
+def tie_square_stacks() -> list:
+    a, c = math.sin(0.4), math.cos(0.4)
+    square = SphericalPolygon(np.array([[a, 0.0, c], [0.0, a, c], [-a, 0.0, c], [0.0, -a, c]]), SpherePoint((0, 0, 1)))
+    others = [convex_hull(cap_cloud(np.random.default_rng(8), count, 1.2)) for count in (12, 30, 6)]
+    return [stack_of([square]), stack_of([square, *others]), stack_of([*others, square])]
+
+
+def trial_stacks(stream: int):
+    """Every stack whose diameters a chunk of trials computes, rejected attempts included."""
+
+    def stacks(monkeypatch) -> list:
+        seen = []
+        real = pg._boundary_diameters
+
+        def record(R, G):
+            seen.append(R)
+            return real(R, G)
+
+        monkeypatch.setattr(pg, "_boundary_diameters", record)
+        pg.random_polygons(SEED, range(100), stream=stream, **STREAM_RANGES[stream])
+        return seen
+
+    return stacks
+
+
+def triangle_stacks(flat_feet: bool) -> list:
+    """`tightness_table`'s family, each diameter attained vertex-edge; with
+    flat feet, each witness's far point is added as a flat vertex, where the
+    vertex-edge candidates of its two edges end and tie with a vertex pair."""
+    polys = []
+    for d in np.linspace(math.pi / 2, math.pi, 52)[1:-1]:
+        T = regular_triangle(2.0 * phi(float(d)))
+        if flat_feet:
+            q = boundary_diameter(T).q.v
+            e = int(np.argmin(np.abs(T._edge_normals @ q)))
+            T = SphericalPolygon(np.insert(T._varr, e + 1, q, axis=0), T.hemisphere_center)
+        polys.append(T)
+    return [stack_of(polys), *(stack_of([P]) for P in polys)]
+
+
+def off_unit(stacks) -> list:
+    """The stacks with their vertices scaled by 1 + 4.9e-13 and 1 - 4.9e-13 in
+    turn, as far off unit as a polygon's rows may be: the tie square's
+    diagonals then have dots 1.4e-12 apart."""
+    out = []
+    for R in stacks:
+        sign = (-1.0) ** (np.arange(R.V.shape[1]) % R.n[:, None])
+        out.append(pg._rings(R.V * (1.0 + 4.9e-13 * sign)[..., None], R.n, R.c))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, vertex_edge",
+    [
+        (lambda mp: near_circular_stacks(), True),
+        (lambda mp: tie_square_stacks(), True),
+        (trial_stacks(STREAM_SMALL), False),  # diameters below pi/2 are vertex-vertex
+        (trial_stacks(STREAM_WIDE), True),
+        (lambda mp: triangle_stacks(False), True),
+        (lambda mp: triangle_stacks(True), True),
+        (lambda mp: off_unit(tie_square_stacks() + near_circular_stacks() + triangle_stacks(True)), True),
+    ],
+    ids=["near-circular", "tie-square", "small-stream", "wide-stream", "triangles", "flat-feet", "off-unit"],
+)
+def test_prefilters_match_dense_enumeration(monkeypatch, make, vertex_edge):
+    stacks = make(monkeypatch)
+    monkeypatch.undo()
+    edges = 0
+    for R in stacks:
+        G = pg._pair_angles(R.V)
+        got_vv, got = pg._farthest(G, R.n), pg._boundary_diameters(R, G)
+        want_vv, want = dense_boundary_diameters(R)
+        for a, b in zip((*got_vv, *got), (*want_vv, *want)):
+            assert np.array_equal(bits(a) if a.dtype == float else a, bits(b) if b.dtype == float else b)
+        edges += int(got[1].sum())
+    assert (edges > 0) == vertex_edge  # whether the vertex-edge class won in some ring

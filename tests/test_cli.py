@@ -412,8 +412,8 @@ def test_module_entry_point_subprocess():
 
 
 def test_verify_loads_no_scipy():
-    # one CPU, so the trials run in this process too; only a hemisphere
-    # search that falls back to its linear program would load scipy
+    # one CPU, so the trials run in this process too; the library imports no
+    # scipy module, and no dependency of its must load one either
     src = os.path.dirname(os.path.dirname(sphereconvex.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
@@ -434,9 +434,9 @@ def test_verify_loads_no_scipy():
 
 
 def test_import_leaves_pool_and_lp_unloaded():
-    # `multiprocessing` loads when a campaign maps its trials and
-    # `scipy.optimize` when the hemisphere search falls back to its LP, so
-    # importing the package and its CLI pays for neither.
+    # `multiprocessing` loads when a campaign maps its trials, and the
+    # library has no use for `scipy.optimize`, so importing the package and
+    # its CLI pays for neither.
     src = os.path.dirname(os.path.dirname(sphereconvex.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from sphereconvex import (
     EPS_ANTIPODE,
@@ -72,6 +73,48 @@ def near_circle_points(seed, count, radius, jitter=1e-4):
     az = rng.uniform(0.0, 2.0 * math.pi, count)
     theta = radius * (1.0 - jitter * rng.uniform(size=count))
     return np.stack([np.sin(theta) * np.cos(az), np.sin(theta) * np.sin(az), np.cos(theta)], axis=-1)
+
+
+def lp_center(pts):
+    """The linear program max t s.t. pts @ c >= t, |c_i| <= 1, normalized:
+    the hemisphere center the library searched before the nearest-point
+    search, kept as its reference."""
+    n = pts.shape[0]
+    res = linprog(
+        c=[0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([-pts, np.ones((n, 1))]),
+        b_ub=np.zeros(n),
+        bounds=[(-1.0, 1.0)] * 3 + [(None, None)],
+        method="highs",
+    )
+    if not res.success or res.x[3] <= 1e-9:
+        raise NoHemisphere("no open hemisphere strictly contains all points")
+    c = res.x[:3]
+    nc = float(np.linalg.norm(c))
+    if nc < 1e-12:
+        raise NoHemisphere("no open hemisphere strictly contains all points")
+    c = c / nc
+    if float(np.min(pts @ c)) <= pg.EPS_HEMI:
+        raise NoHemisphere("hemisphere containment margin below EPS_HEMI")
+    return c
+
+
+@st.composite
+def center_clouds(draw):
+    """Caps of radius 0.2 to pi/2 + 0.3 and near-circular clouds, turned at
+    random, and the antipodal and great-circle clouds."""
+    kind = draw(st.sampled_from(["cap", "near-circle", "antipodal", "great-circle"]))
+    if kind == "antipodal":
+        return np.vstack([np.eye(3), -np.eye(3)])
+    if kind == "great-circle":
+        return GREAT_CIRCLE_ARC
+    seed, count = draw(st.integers(0, 2**32 - 1)), draw(st.integers(3, 60))
+    radius = draw(st.floats(0.2, math.pi / 2 + 0.3))
+    if kind == "cap":
+        pts = np.array([p.v for p in cap_points(seed, count, radius)])
+    else:
+        pts = near_circle_points(seed, count, radius, jitter=0.002)
+    return draw(rotations()).apply(pts)
 
 
 def spherical_square(colat=0.8):
@@ -240,6 +283,22 @@ class TestConvexHull:
             return  # genuinely not in one open hemisphere; also acceptable
         for p in pts:
             assert contains(P, p)
+
+    @settings(max_examples=150)
+    @given(center_clouds())
+    def test_nearest_center_matches_linear_program(self, pts):
+        # both find a center or neither does, and the nearest point's margin
+        # is the best one, which the linear program's box can only approach
+        centers = []
+        for search in (pg._nearest_center, lp_center):
+            try:
+                centers.append(search(pts))
+            except NoHemisphere:
+                centers.append(None)
+        got, want = centers
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.min(pts @ got) >= np.min(pts @ want) - 4e-12
 
     @staticmethod
     def near_duplicate_inputs():

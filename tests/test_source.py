@@ -86,7 +86,18 @@ def _import_time_modules(node: ast.AST) -> list[str]:
 
 @pytest.mark.parametrize("name", sorted(TREES), ids=str)
 def test_no_scipy_at_import(name):
-    # scipy costs more to import than the rest of the library together; the
-    # one routine that needs it (the linear program behind rare hemisphere
-    # centers) imports it inside the function
+    # scipy costs more to import than the rest of the library together
     assert [m for m in _import_time_modules(TREES[name]) if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("name", sorted(TREES), ids=str)
+def test_no_scipy_anywhere(name):
+    # not inside a function either: scipy is a test dependency only, and the
+    # hemisphere center is the nearest point of the cloud's hull, found in numpy
+    imported = [
+        alias.name if isinstance(node, ast.Import) else node.module or ""
+        for node in ast.walk(TREES[name])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
