@@ -79,6 +79,8 @@ _NEAREST_CYCLES = 100
 
 # Inclusive range of the number of cap samples behind each random polygon.
 NUM_POINTS_RANGE = (5, 50)
+# Attempts each random polygon draws before it raises SamplingExhausted.
+MAX_ATTEMPTS = 1000
 
 VERTEX_VERTEX = "vertex-vertex"
 VERTEX_EDGE = "vertex-edge"
@@ -359,12 +361,13 @@ def _hemisphere_center(pts: np.ndarray) -> np.ndarray:
 def _extreme_rings(R: _Rings) -> tuple[_Rings, np.ndarray]:
     """The polygons of extreme vertices left from counterclockwise hull rings.
 
-    Drops the vertices that end a near-duplicate edge (length at most
-    EPS_ANTIPODE), or in a ring without one, the vertices that do not turn,
-    until every vertex turns.  A ring that fails validation first (a sliver,
-    whose ends turn by pi and the rest is flat) or falls below 3 vertices
-    has collapsed.  Returns the final rings, at the input width, and whether
-    each is a polygon.
+    Drops the vertex V_i that starts each near-duplicate edge (|V_i V_{i+1}|
+    at most EPS_ANTIPODE), or in a ring without one, the vertices that do
+    not turn, until every vertex turns.  A ring that fails validation first
+    (a sliver, whose ends turn by pi and the rest is flat) or falls below 3
+    vertices has collapsed.  Returns the final rings, at the input width,
+    and whether each is a polygon; the rings that finish in a later round
+    are written into the rows of R's own arrays.
     """
     K, m = R.V.shape[:2]
     out = R  # the rings finished in a later round overwrite their rows
@@ -537,26 +540,16 @@ def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns the (K,) diameters, whether each is attained vertex-edge, and the
     (K, 3) witness points p and q.
 
-    Only the (vertex v, edge AB) pairs that pass three tests get a far point.
-    Rows of V are unit to EPS_UNIT and the products are good to a few ulps,
-    so each test's slack is far above its rounding, and a dropped pair has
-    no say in the result:
-    - sides, v.(N x A) <= 1e-9 and v.(B x N) <= 1e-9.  far is -W/|W|, with
-      W the part of v in the edge's plane and |W| <= |v|, so where either is
-      above 1e-9, far lies beyond an end of the arc by more than 9.9e-10 rad
-      (rounding moves W.(N x A) = v.(N x A) by a few ulps, and a far off the
-      circle only adds), ang(A, far) + ang(far, B) exceeds L by more than
-      1.9e-9, and the on-arc test, with its slack of 1e-10, drops the pair
-      anyway.
-    - reach, |v.N| < sin(pi - value + 1e-9), where value, the vertex-vertex
-      diameter, is above pi/2 + 0.01 (below it every pair passes).  far is
-      at pi - asin(|v.N| / |v|) from v, |v.N| is within 1e-12 of |v.N| / |v|,
-      and asin has slope 1/cos, at most 100 here, so a dropped pair is truly
-      within value - 1e-9 + 1e-10 of v.  Its computed distance adds ang's
-      few ulps and far's rounding, 1e-16 / |W|: below 1e-14 where the gap to
-      value is that small, and below 1e-7, by the pole test, where v nears
-      the pole and the gap nears value - pi/2.  So it rounds below value,
-      and only a pair above value can win.
+    Only the (vertex v, edge AB) pairs that pass the side tests,
+    v.(N x A) <= 1e-9 and v.(B x N) <= 1e-9, get a far point.  Rows of V are
+    unit to EPS_UNIT and the products are good to a few ulps, so the slack
+    is far above their rounding, and a dropped pair has no say in the
+    result: far is -W/|W|, with W the part of v in the edge's plane and
+    |W| <= |v|, so where either is above 1e-9, far lies beyond an end of the
+    arc by more than 9.9e-10 rad (rounding moves W.(N x A) = v.(N x A) by a
+    few ulps, and a far off the circle only adds), ang(A, far) + ang(far, B)
+    exceeds L by more than 1.9e-9, and the on-arc test, with its slack of
+    1e-10, drops the pair anyway.
     """
     V, L, N = R.V, R.L, R.N
     K, m = L.shape
@@ -564,18 +557,11 @@ def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarra
     i, j, value = _farthest(G, R.n)  # (a) vertex-vertex
 
     # (b) vertex-edge: the point of each edge circle farthest from each
-    # vertex, for the (ring, vertex, edge) pairs the three tests keep
+    # vertex, for the (ring, vertex, edge) pairs the side tests keep
     B = _take(V, _shift(R.n, m, 1))
     S = np.matmul(V, N.transpose(0, 2, 1))
-    sides = np.matmul(V, np.concatenate([vecmath.cross(N, V), vecmath.cross(B, N)], axis=1).transpose(0, 2, 1))
-    reach = np.where(value > math.pi / 2 + 0.01, np.sin(math.pi - value + 1e-9), np.inf)
-    ki, vi, ei = np.nonzero(
-        (np.abs(S) < reach[:, None, None])
-        & (sides[:, :, :m] <= 1e-9)
-        & (sides[:, :, m:] <= 1e-9)
-        & valid[:, :, None]
-        & valid[:, None, :]
-    )
+    sides = np.matmul(V, np.concatenate([vecmath.cross(N, V), vecmath.cross(B, N)], axis=1).transpose(0, 2, 1)) <= 1e-9
+    ki, vi, ei = np.nonzero(sides[:, :, :m] & sides[:, :, m:] & valid[:, :, None] & valid[:, None, :])
     W = V[ki, vi] - S[ki, vi, ei][:, None] * N[ki, ei]
     wn = vecmath.norm(W)
     far = -W / np.maximum(wn, 1e-300)[:, None]
@@ -622,9 +608,11 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     scan order, so the witness is deterministic.
 
     Stacked dot products first drop the candidates that provably lose, each
-    test with a slack far above its rounding (`_pair_angles`,
-    `_boundary_diameters`); the rest get the full enumeration's formulas, so
-    the result is the same to the bit.
+    test with a slack far above its rounding: the vertex pairs outside the
+    window of `_pair_angles`, and the vertex-edge pairs whose far point the
+    two side tests of `_boundary_diameters` put past an end of the edge,
+    where the on-arc check drops it anyway.  The rest get the full
+    enumeration's formulas, so the result is the same to the bit.
     """
     R = P._as_stack()
     return _witness(*(a[0] for a in _boundary_diameters(R, _pair_angles(R.V))))
@@ -717,7 +705,6 @@ def random_polygons(
     stream: int = 0,
     cap_radius_range: tuple[float, float] = (math.pi / 4 + 0.05, math.pi / 2 - 0.05),
     diameter_range: tuple[float, float] = (math.pi / 2 + 1e-4, math.pi - 1e-4),
-    max_attempts: int = 1000,
 ) -> RandomPolygons:
     """Trials `indices` of one stream of `random_polygon`, advanced in lockstep.
 
@@ -745,7 +732,7 @@ def random_polygons(
     vertices = np.zeros(K, dtype=int)
     polygons = [None] * K
     todo = np.arange(K)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         if not todo.size:
             break
         center, sag, u, az = zip(*(_draw(rngs[k], cap_radius_range) for k in todo))
@@ -769,7 +756,7 @@ def random_polygons(
             polygons[k] = (R, row)
         todo = np.setdiff1d(todo, done, assume_unique=True)  # without np.unique, which imports numpy.ma
     if todo.size:
-        raise SamplingExhausted(f"no polygon with diameter in {diameter_range} after {max_attempts} attempts")
+        raise SamplingExhausted(f"no polygon with diameter in {diameter_range} after {MAX_ATTEMPTS} attempts")
     return RandomPolygons(diameter, vertex_edge, p, q, extreme, vertices, polygons)
 
 
@@ -779,7 +766,7 @@ def random_polygon(seed: int, index: int, *, stream: int = 0, **ranges) -> tuple
     Draws a cap center uniformly on the sphere, a cap radius uniformly from
     cap_radius_range, and N points uniformly in the cap, N uniform in
     NUM_POINTS_RANGE; then keeps the hull if its boundary diameter falls
-    inside diameter_range (redrawing otherwise, up to max_attempts times).
+    inside diameter_range (redrawing otherwise, up to MAX_ATTEMPTS times).
     The polygon's hemisphere_center is the cap center.  The generator is
     PCG64 keyed by SeedSequence([seed, stream, index]), so trial `index` of a
     stream is reproducible in isolation and across machines; `stream`

@@ -3,6 +3,8 @@ from hypothesis import HealthCheck, settings
 settings.register_profile(
     "default",
     deadline=None,
+    derandomize=True,
+    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")

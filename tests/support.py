@@ -2,10 +2,18 @@
 
 These deliberately re-implement the primitives they need (distance,
 interpolation, chart projection) so a defect in the production code cannot
-hide inside its own oracle.
+hide inside its own oracle.  The exception is `dense_boundary_diameters`,
+the unfiltered enumeration the prefilters must match to the bit, which
+therefore runs the library's own formulas.
 """
 
 import numpy as np
+
+from sphereconvex import polygon as pg
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def sphere_angle(u, v):
@@ -164,3 +172,37 @@ def on_boundary(P, p, tol=1e-9):
     on_circle = np.abs(N @ p.v) <= tol
     on_arc = sphere_angle(V, p.v) + sphere_angle(p.v, B) <= lengths + 1e-8
     return bool(np.any(on_circle & on_arc))
+
+
+def dense_boundary_diameters(R) -> tuple:
+    """Both candidate classes enumerated over every pair, with no prefilter:
+    the reference that `pg._pair_angles` and `pg._boundary_diameters` must
+    match to the bit.  Returns the vertex-vertex (i, j, angle) and the
+    boundary diameter's (value, vertex-edge, p, q)."""
+    V, L, N = R.V, R.L, R.N
+    K, m = L.shape
+    valid = np.arange(m) < R.n[:, None]
+    upper = (np.arange(m)[:, None] < np.arange(m)) & (np.arange(m) < R.n[:, None, None])
+    A = np.where(upper, pg.vecmath.ang(V[:, :, None], V[:, None, :]), -np.inf).reshape(K, m * m)
+    i, j = np.divmod(A.argmax(axis=1), m)  # row-major, the scan order for ties
+    value = A[np.arange(K), i * m + j]
+    W = V[:, :, None, :] - np.matmul(V, N.transpose(0, 2, 1))[..., None] * N[:, None, :, :]
+    wn = pg.vecmath.norm(W)
+    far = -W / np.maximum(wn, 1e-300)[..., None]
+    B = pg._take(V, pg._shift(R.n, m, 1))
+    on_arc = pg.vecmath.ang(V[:, None], far) + pg.vecmath.ang(far, B[:, None]) <= L[:, None, :] + pg._ARC_SLACK
+    ki, vi, ei = np.nonzero((wn > 1e-9) & on_arc & valid[:, :, None] & valid[:, None, :])
+    dist = np.full((K, m * m), -np.inf)
+    dist[ki, vi * m + ei] = pg.vecmath.ang(V[ki, vi], far[ki, vi, ei])
+    kk = np.arange(K)
+    e = dist.argmax(axis=1)
+    edge = dist[kk, e] > value
+    vi, ei = np.divmod(e, m)
+    p = np.where(edge[:, None], V[kk, vi], V[kk, i])
+    q = np.where(edge[:, None], far[kk, vi, ei], V[kk, j])
+    return (i, j, value), (np.where(edge, dist[kk, e], value), edge, p, q)
+
+
+def stack_of(polys) -> pg._Rings:
+    Vs, n = pg._cyclic([P._varr for P in polys])
+    return pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))

@@ -31,16 +31,13 @@ from sphereconvex import (
 from sphereconvex import polygon as pg
 from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
 from sphereconvex.core import _as_unit_rows
+from support import bits, dense_boundary_diameters, stack_of
 
 SEED = 42
 # Wide trials of seed 42 on the rare paths of `random_polygon`, and the number
 # of attempts each makes.  The vector sum of trial 17's cloud, and of trial
 # 269's last, is no hemisphere center; the cap center charts them instead.
 RARE_WIDE = {11: 2, 17: 1, 269: 4}
-
-
-def bits(a) -> np.ndarray:
-    return np.asarray(a, dtype=float).view(np.uint64)
 
 
 def scalar_row(stream: int, index: int) -> tuple:
@@ -300,40 +297,6 @@ def test_searched_center_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1 []"
-
-
-def dense_boundary_diameters(R) -> tuple:
-    """Both candidate classes enumerated over every pair, with no prefilter:
-    the reference that `pg._pair_angles` and `pg._boundary_diameters` must
-    match to the bit.  Returns the vertex-vertex (i, j, angle) and the
-    boundary diameter's (value, vertex-edge, p, q)."""
-    V, L, N = R.V, R.L, R.N
-    K, m = L.shape
-    valid = np.arange(m) < R.n[:, None]
-    upper = (np.arange(m)[:, None] < np.arange(m)) & (np.arange(m) < R.n[:, None, None])
-    A = np.where(upper, pg.vecmath.ang(V[:, :, None], V[:, None, :]), -np.inf).reshape(K, m * m)
-    i, j = np.divmod(A.argmax(axis=1), m)  # row-major, the scan order for ties
-    value = A[np.arange(K), i * m + j]
-    W = V[:, :, None, :] - np.matmul(V, N.transpose(0, 2, 1))[..., None] * N[:, None, :, :]
-    wn = pg.vecmath.norm(W)
-    far = -W / np.maximum(wn, 1e-300)[..., None]
-    B = pg._take(V, pg._shift(R.n, m, 1))
-    on_arc = pg.vecmath.ang(V[:, None], far) + pg.vecmath.ang(far, B[:, None]) <= L[:, None, :] + pg._ARC_SLACK
-    ki, vi, ei = np.nonzero((wn > 1e-9) & on_arc & valid[:, :, None] & valid[:, None, :])
-    dist = np.full((K, m * m), -np.inf)
-    dist[ki, vi * m + ei] = pg.vecmath.ang(V[ki, vi], far[ki, vi, ei])
-    kk = np.arange(K)
-    e = dist.argmax(axis=1)
-    edge = dist[kk, e] > value
-    vi, ei = np.divmod(e, m)
-    p = np.where(edge[:, None], V[kk, vi], V[kk, i])
-    q = np.where(edge[:, None], far[kk, vi, ei], V[kk, j])
-    return (i, j, value), (np.where(edge, dist[kk, e], value), edge, p, q)
-
-
-def stack_of(polys) -> pg._Rings:
-    Vs, n = pg._cyclic([P._varr for P in polys])
-    return pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
 
 
 def near_circular_stacks() -> list:

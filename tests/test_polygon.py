@@ -556,9 +556,10 @@ class TestBoundaryDiameter:
 
 
 class TestRandomPolygon:
-    def test_exhaustion_raises_library_error(self):
+    def test_exhaustion_raises_library_error(self, monkeypatch):
+        monkeypatch.setattr(pg, "MAX_ATTEMPTS", 3)
         with pytest.raises(SamplingExhausted, match="after 3 attempts"):
-            random_polygon(1, 0, diameter_range=(3.2, 3.3), max_attempts=3)
+            random_polygon(1, 0, diameter_range=(3.2, 3.3))
 
     # the cap center charts the hull, so no cap may reach its horizon
     @pytest.mark.parametrize("cap_radius_range", [(0.5, math.pi / 2), (0.5, 2 * math.pi), (0.0, 1.0), (1.0, 0.5)])
