@@ -31,13 +31,12 @@ from .lune import lune_checks
 from .polygon import (
     SphericalPolygon,
     DiameterWitness,
-    boundary_diameter,
     extreme_diameter,
     random_polygon,
     random_polygons,
-    regular_triangle,
+    triangle_diameters,
 )
-from .quad import check_identities, construct_quad, phi, phi_inverse_delta, solve_quad
+from .quad import QuadSolution, check_identities, measure_quads, phi, phi_inverse_delta, solve_quad
 
 SCHEMA_VERSION = 1
 
@@ -194,7 +193,7 @@ def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
 
 
 def _task(task: tuple):
-    """Run one `_map` task (kind, *args): a lune row, a quad-grid row, the
+    """Run one `_map` task (kind, *args): a lune row, the quad grid, the
     triangle table or a trial chunk.  Its function is looked up when it runs,
     so a forked worker calls what this process would."""
     kind, *args = task
@@ -263,11 +262,17 @@ def _check(name: str, margins: Sequence[float], payload: Callable[[int], dict], 
     return CheckResult(name, len(margins), min_margin, payload(k), min_margin >= -tol)
 
 
-def _quad_errors(kappa: float, lams: Iterable[float]) -> list[float]:
+def _quad_errors(sides: Sequence[float]) -> list[float]:
     """Worst gap between the closed-form quad and its embedding, identity
-    residuals included, at each (kappa, lam) of one row of the quad grid."""
-    pairs = [(solve_quad(kappa, lam), construct_quad(kappa, lam).measured()) for lam in lams]
-    return [max(abs(s.mu - m.mu), abs(s.nu - m.nu), abs(s.xi - m.xi), *check_identities(m)) for s, m in pairs]
+    residuals included, at each (kappa, lam) of the quad grid over sides,
+    kappa-major; the embeddings are measured as one stack."""
+    pairs = [(kappa, lam) for kappa in sides for lam in sides]
+    measured = measure_quads(*zip(*pairs)).tolist()
+    errors = []
+    for (kappa, lam), row in zip(pairs, measured):
+        s, m = solve_quad(kappa, lam), QuadSolution(*row)
+        errors.append(max(abs(s.mu - m.mu), abs(s.nu - m.nu), abs(s.xi - m.xi), *check_identities(m)))
+    return errors
 
 
 def run_verify(config: CampaignConfig) -> CampaignReport:
@@ -288,9 +293,9 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     counts = [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))]
     # One task list, grid first: with one CPU the grid checks run before the
     # trials grow the heap, so their large temporaries do not add to the peak.
-    grid_tasks = [("lune", d, LUNE_SAMPLES) for d in deltas] + [("quad", kappa, sides) for kappa in sides]
-    results = iter(_map([*grid_tasks, ("table", deltas), *_chunks(seed, counts)]))
-    lunes, quad_rows, table = [next(results) for _ in deltas], [next(results) for _ in sides], next(results)
+    grid_tasks = [*(("lune", d, LUNE_SAMPLES) for d in deltas), ("quad", sides), ("table", deltas)]
+    results = iter(_map([*grid_tasks, *_chunks(seed, counts)]))
+    lunes, quad_errors, table = [next(results) for _ in deltas], next(results), next(results)
     wide, small = _stream_rows(counts, results)
     diam, ext, nverts = wide.T
     margin, ratio = ext - 2.0 * np.array([phi(d) for d in diam]), ext / diam
@@ -317,7 +322,7 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
         _check("thickness_gap", grid - 2.0 * phis, at_delta, tol),
         _check(
             "quad_closed_form_vs_embedding",
-            -np.concatenate(quad_rows),
+            -np.array(quad_errors),
             lambda k: {"kappa": sides[k // len(sides)], "lambda": sides[k % len(sides)]},
             tol,
         ),
@@ -380,24 +385,14 @@ def tightness_table(deltas: Iterable[float]) -> list[dict]:
     Each triangle has boundary diameter delta (attained from a vertex to the
     opposite edge) while its extreme points span only 2*phi(delta), so the
     bound margin is ~0 and the ratio tends to 2/3 as delta approaches pi.
+    The triangles are measured as one stack by `triangle_diameters`.
     """
-    rows = []
-    for d in deltas:
-        d = float(d)
-        side = 2.0 * phi(d)
-        tri = regular_triangle(side)
-        w = boundary_diameter(tri)
-        ed = extreme_diameter(tri)
-        rows.append(
-            {
-                "delta": d,
-                "diam": w.value,
-                "diam_extreme": ed,
-                "margin": ed - 2.0 * phi(w.value),
-                "ratio": ed / w.value,
-            }
-        )
-    return rows
+    deltas = [float(d) for d in deltas]
+    diam, extreme = triangle_diameters([2.0 * phi(d) for d in deltas])
+    return [
+        {"delta": d, "diam": bd, "diam_extreme": ed, "margin": ed - 2.0 * phi(bd), "ratio": ed / bd}
+        for d, bd, ed in zip(deltas, diam.tolist(), extreme.tolist())
+    ]
 
 
 def tightness_grid(steps: int) -> list[dict]:

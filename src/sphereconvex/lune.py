@@ -133,10 +133,24 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     """Minimum of |k l| over a sampling grid.
 
     k runs over `samples_k` points of the chord arc (endpoints included) and,
-    for each k, l runs over `samples_l` points of the arc from the center of
-    side_b to the orthogonal drop of k.  The returned minimum is a
+    for each k, l runs over `samples_l` points of the arc from the center h
+    of side_b to the orthogonal drop of k.  The returned minimum is a
     deterministic function of the grid; it is bounded below by
     2*phi(thickness) up to rounding.
+
+    Point l is num / |num| with num = sa h + sb drop, the sines sa and sb of
+    the two parts of the arc at l, so its cosine with k is
+    (sa (k.h) + sb (k.drop)) / sqrt(sa^2 + sb^2 + 2 sa sb (h.drop)), one
+    scalar per cell.  The arc is at most pi/2 long and sa, sb >= 0, so
+    |num| >= (sa + sb) / sqrt(2), and this cosine is within a few ulps of the
+    true one; `vecmath.ang` is within a few ulps of the true angle.  A cell
+    whose cosine is below the largest by more than 1e-12 is so at least
+    1e-12 - 1e-15 truly, so it is truly farther by as much (|d cos| <=
+    |d angle|), and its angle rounds above that of the cell of largest
+    cosine: it is not the minimum.  Only the cells within 1e-12 of the
+    largest cosine get their point and angle, by the formulas of the full
+    grid, so the minimum has the full grid's bits.  An arc shorter than
+    1e-12 is the point h.
     """
     delta = _require_wide(lune)
     if samples_k < 2 or samples_l < 2:
@@ -155,16 +169,24 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
 
     lengths = vecmath.ang(h, drops)  # (nk,)
     s = np.linspace(0.0, 1.0, samples_l)
-    num = (
-        np.sin((1.0 - s)[None, :, None] * lengths[:, None, None]) * h
-        + np.sin(s[None, :, None] * lengths[:, None, None]) * drops[:, None, :]
-    )
+    sa = np.sin((1.0 - s)[None, :] * lengths[:, None])  # (nk, nl)
+    sb = np.sin(s[None, :] * lengths[:, None])
+    kh, kd, hd = (vecmath.dot(u, v)[:, None] for u, v in ((chord, h), (chord, drops), (drops, h)))
+    # cos = (sa kh + sb kd) / sqrt(sa (sa + 2 hd sb) + sb^2), in place
+    den = sb * (2.0 * hd)
+    den += sa
+    den *= sa
+    den += sb * sb
+    cos = sa * kh
+    cos += sb * kd
+    with np.errstate(invalid="ignore"):  # a zero-length arc's cells are 0 / 0; kh replaces them
+        cos /= np.sqrt(den, out=den)
     degenerate = lengths < 1e-12
-    num[degenerate] = h
-    arcs = vecmath.unit(num)  # (nk, nl, 3)
-
-    dists = vecmath.ang(chord[:, None, :], arcs)
-    return float(dists.min())
+    cos[degenerate] = kh[degenerate]
+    ki, li = np.nonzero(cos >= cos.max() - 1e-12)
+    num = sa[ki, li, None] * h + sb[ki, li, None] * drops[ki]
+    num[degenerate[ki]] = h
+    return float(vecmath.ang(chord[ki], vecmath.unit(num)).min())
 
 
 def lune_checks(delta: float, samples: int) -> dict:

@@ -618,24 +618,49 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     return _witness(*(a[0] for a in _boundary_diameters(R, _pair_angles(R.V))))
 
 
+def _regular_triangles(sides: Sequence[float]) -> _Rings:
+    """The validated rings of `regular_triangle` for each side, as one stack."""
+    q = []
+    for side in sides:
+        if not 0.0 < side:
+            raise DomainError(f"side={side} must be positive")
+        q.append((2.0 * math.cos(side) + 1.0) / 3.0)
+        if q[-1] <= EPS_HEMI**2:
+            raise DomainError(f"side={side} too long for a hemisphere-contained regular triangle")
+    q = np.array(q)
+    K = len(q)
+    azimuths = np.array([(math.cos(2.0 * math.pi * k / 3.0), math.sin(2.0 * math.pi * k / 3.0)) for k in range(3)])
+    st = np.sqrt(1.0 - q)[:, None, None]
+    V = np.concatenate([st * azimuths, np.broadcast_to(np.sqrt(q)[:, None, None], (K, 3, 1))], axis=2)
+    R = _rings(_as_unit_rows(V.reshape(-1, 3)).reshape(K, 3, 3), np.full(K, 3), np.tile([0.0, 0.0, 1.0], (K, 1)))
+    faults = _ring_faults(R)
+    if np.any(faults >= 0):
+        raise InvalidPolygon(_FAULTS[faults[faults >= 0][0]])
+    return R
+
+
 def regular_triangle(side: float) -> SphericalPolygon:
     """Equilateral spherical triangle of the given side, centered on (0,0,1).
 
     The circumradius r satisfies cos(r) = sqrt((2 cos(side) + 1) / 3), which
     requires side < 2*pi/3 for the vertices to stay inside an open
-    hemisphere.
+    hemisphere.  This is `triangle_diameters`' stack for one side.
     """
-    if not 0.0 < side:
-        raise DomainError(f"side={side} must be positive")
-    q = (2.0 * math.cos(side) + 1.0) / 3.0
-    if q <= EPS_HEMI**2:
-        raise DomainError(f"side={side} too long for a hemisphere-contained regular triangle")
-    ct = math.sqrt(q)
-    st = math.sqrt(1.0 - q)
-    verts = np.array(
-        [(st * math.cos(2.0 * math.pi * k / 3.0), st * math.sin(2.0 * math.pi * k / 3.0), ct) for k in range(3)]
-    )
-    return SphericalPolygon(verts, SpherePoint((0.0, 0.0, 1.0)))
+    return SphericalPolygon._of(_regular_triangles([side]), 0)
+
+
+def triangle_diameters(sides: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary and extreme diameters of `regular_triangle` for each side,
+    with the bits of `boundary_diameter(...).value` and `extreme_diameter`,
+    taken on one stack of the triangles.  Every vertex of a regular triangle
+    turns by more than 3e-6, far above EPS_ANGLE, so all three are extreme and
+    the vertex-vertex diameter is the extreme one.
+    """
+    if len(sides) == 0:  # the kernels need a ring
+        return np.empty(0), np.empty(0)
+    R = _regular_triangles(sides)
+    G = _pair_angles(R.V)
+    return _boundary_diameters(R, G)[0], _farthest(G, R.n)[2]
 
 
 def extreme_diameter_margin(P: SphericalPolygon) -> float:

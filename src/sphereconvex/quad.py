@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import SpherePoint, angle_at, distance
+from .core import EPS_ANTIPODE, SpherePoint
 from . import vecmath
-from .errors import DomainError, NoIntersection
+from .errors import DegeneratePair, DomainError, NoIntersection
 
 # Inputs closer than this to the degenerate strip (kappa or lam == 0) are
 # rejected; the limits are exercised by tests, not extrapolated by the code.
@@ -130,6 +131,29 @@ def solve_quad(kappa: float, lam: float) -> QuadSolution:
     return QuadSolution(kappa=kappa, lam=lam, mu=mu, nu=nu, xi=xi)
 
 
+def _check_right_angles(Q: np.ndarray) -> None:
+    """Raise unless each quadrilateral a, b, c, d of the (K, 4, 3) stack Q
+    has right angles at a, b, c, as `angle_at` measures them, vertex by
+    vertex in stack order: DegeneratePair where a neighbour coincides with
+    the vertex or its antipode, DomainError where the angle is not right."""
+    W = vecmath.reject(Q[:, [3, 0, 1, 1, 2, 3]], Q[:, [0, 1, 2, 0, 1, 2]])  # toward d, a, b, then b, c, d
+    n = np.sqrt(vecmath.blas_dot(W, W))
+    with np.errstate(invalid="ignore", divide="ignore"):  # a zero tangent is degenerate, checked first
+        T = W / n[..., None]
+        bent = np.abs(vecmath.ang(T[:, :3], T[:, 3:]) - math.pi / 2) > 1e-10
+    degenerate = (n[:, :3] <= EPS_ANTIPODE) | (n[:, 3:] <= EPS_ANTIPODE)
+    fault = (degenerate | bent).ravel()
+    if fault.any():
+        if degenerate.ravel()[fault.argmax()]:
+            raise DegeneratePair("target coincides with the vertex or its antipode")
+        raise DomainError("embedding does not have right angles at a, b, c")
+
+
+def _measured(Q: np.ndarray) -> np.ndarray:
+    """(K, 5) sides kappa, lam, mu, nu, xi read off a (K, 4, 3) stack of vertices a, b, c, d."""
+    return vecmath.ang(Q[:, [0, 1, 2, 3, 1]], Q[:, [1, 2, 3, 0, 3]])
+
+
 @dataclass(frozen=True)
 class QuadEmbedding:
     """Realized vertices of a quadrilateral with right angles at a, b, c."""
@@ -140,19 +164,43 @@ class QuadEmbedding:
     d: SpherePoint
 
     def __post_init__(self):
-        for vertex, p, q in ((self.a, self.d, self.b), (self.b, self.a, self.c), (self.c, self.b, self.d)):
-            if abs(angle_at(vertex, p, q) - math.pi / 2) > 1e-10:
-                raise DomainError("embedding does not have right angles at a, b, c")
+        _check_right_angles(self._stack())
+
+    def _stack(self) -> np.ndarray:
+        return np.array([[self.a.v, self.b.v, self.c.v, self.d.v]])
 
     def measured(self) -> QuadSolution:
         """Side lengths read off the embedded vertices."""
-        return QuadSolution(
-            kappa=distance(self.a, self.b),
-            lam=distance(self.b, self.c),
-            mu=distance(self.c, self.d),
-            nu=distance(self.d, self.a),
-            xi=distance(self.b, self.d),
-        )
+        return QuadSolution(*_measured(self._stack())[0].tolist())
+
+
+def _embed(kappa: Sequence[float], lam: Sequence[float]) -> np.ndarray:
+    """(K, 4, 3) vertices a, b, c, d of `construct_quad` at each (kappa, lam)
+    pair, checked pair by pair.  The vertices, the norm of w and the sign of
+    d . (a + c) take the one-pair formulas' bits: the sines and cosines from
+    `math`, the norm and the sign through `vecmath.blas_dot`, the stacked
+    form of the 1-D BLAS dot."""
+    for k, l in zip(kappa, lam):
+        _check_side_domain(k, l)
+    ck, sk, cl, sl = (
+        np.array([f(x) for x in xs], dtype=float)
+        for f, xs in ((math.cos, kappa), (math.sin, kappa), (math.cos, lam), (math.sin, lam))
+    )
+    zero = np.zeros_like(ck)
+    b = np.stack([zero + 1.0, zero, zero], axis=-1)
+    c = np.stack([cl, sl, zero], axis=-1)
+    a = np.stack([ck, zero, sk], axis=-1)
+    # Normals of the circles through a and c orthogonal to ba and bc: the
+    # unit tangents of those sides at a and c.
+    n_a = np.stack([sk, zero, -ck], axis=-1)
+    n_c = np.stack([sl, -cl, zero], axis=-1)
+    w = vecmath.cross(n_c, n_a)
+    norm = np.sqrt(vecmath.blas_dot(w, w))
+    if np.any(norm < 1e-12):
+        raise NoIntersection("perpendiculars at a and c are coplanar")
+    d = w / norm[:, None]
+    d = np.where(vecmath.blas_dot(d, a + c)[:, None] < 0.0, -d, d)
+    return np.stack([a, b, c, d], axis=1)
 
 
 def construct_quad(kappa: float, lam: float) -> QuadEmbedding:
@@ -162,24 +210,18 @@ def construct_quad(kappa: float, lam: float) -> QuadEmbedding:
     meridian, which makes the right angle at b exact.  Perpendicular great
     circles are erected at a and c and intersected to obtain d; the
     intersection candidate on the same side as the quadrilateral interior is
-    selected.
+    selected.  This is `measure_quads`' embedding for one pair.
     """
-    _check_side_domain(kappa, lam)
-    b = np.array([1.0, 0.0, 0.0])
-    c = np.array([math.cos(lam), math.sin(lam), 0.0])
-    a = np.array([math.cos(kappa), 0.0, math.sin(kappa)])
-    # Normals of the circles through a and c orthogonal to ba and bc: the
-    # unit tangents of those sides at a and c.
-    n_a = np.array([math.sin(kappa), 0.0, -math.cos(kappa)])
-    n_c = np.array([math.sin(lam), -math.cos(lam), 0.0])
-    w = vecmath.cross(n_c, n_a)
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
-        raise NoIntersection("perpendiculars at a and c are coplanar")
-    d = w / norm
-    if float(np.dot(d, a + c)) < 0.0:
-        d = -d
-    return QuadEmbedding(a=SpherePoint(a), b=SpherePoint(b), c=SpherePoint(c), d=SpherePoint(d))
+    return QuadEmbedding(*(SpherePoint(v) for v in _embed([kappa], [lam])[0]))
+
+
+def measure_quads(kappa: Sequence[float], lam: Sequence[float]) -> np.ndarray:
+    """(K, 5) sides kappa, lam, mu, nu, xi measured off the embeddings of K
+    (kappa, lam) pairs; row k has the bits of
+    construct_quad(kappa[k], lam[k]).measured(), and the same checks."""
+    Q = _embed(kappa, lam)
+    _check_right_angles(Q)
+    return _measured(Q)
 
 
 def check_identities(q: QuadSolution) -> tuple[float, float, float, float]:

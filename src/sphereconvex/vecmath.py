@@ -11,6 +11,10 @@ adds the three products left to right onto its reduction's starting value,
 sums to +0.0, not -0.0).  Reductions that sum in another order stay as numpy
 calls: `np.matmul` and `@`, `np.linalg.norm` of a 1-D vector (BLAS `dot`),
 and sums along longer axes, which numpy adds pairwise from length 8 on.
+`blas_dot` is the stacked form of the 1-D `np.dot`: numpy hands each
+(1, 3) by (3, 1) product of a stacked `np.matmul` to the same BLAS `dot`, so
+every row gets the bits of `np.dot` and `np.linalg.norm` of that row alone,
+which the column sum of `dot` does not (BLAS may fuse a multiply and add).
 """
 
 from __future__ import annotations
@@ -21,6 +25,12 @@ import numpy as np
 def dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Dot product along the last axis, bit-identical to np.sum(u * w, axis=-1)."""
     return 0.0 + u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1] + u[..., 2] * w[..., 2]
+
+
+def blas_dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dot product along the last axis, each row bit-identical to np.dot of
+    the two 1-D rows; np.sqrt(blas_dot(v, v)) is np.linalg.norm of each row."""
+    return np.matmul(u[..., None, :], w[..., :, None])[..., 0, 0]
 
 
 def norm(v: np.ndarray) -> np.ndarray:

@@ -4,12 +4,18 @@ These deliberately re-implement the primitives they need (distance,
 interpolation, chart projection) so a defect in the production code cannot
 hide inside its own oracle.  The exception is `dense_boundary_diameters`,
 the unfiltered enumeration the prefilters must match to the bit, which
-therefore runs the library's own formulas.
+therefore runs the library's own formulas; so do
+`dense_min_sampled_distance`, the full grid behind the lune clearance
+window, and `scalar_quad_sides`, the one-pair embedding behind the stacked
+quadrilaterals.
 """
+
+import math
 
 import numpy as np
 
-from sphereconvex import polygon as pg
+from sphereconvex import DomainError, SpherePoint, angle_at, distance
+from sphereconvex import lune as ln, polygon as pg
 
 
 def bits(a) -> np.ndarray:
@@ -206,3 +212,57 @@ def dense_boundary_diameters(R) -> tuple:
 def stack_of(polys) -> pg._Rings:
     Vs, n = pg._cyclic([P._varr for P in polys])
     return pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
+
+
+def dense_min_sampled_distance(lune, samples_k, samples_l) -> float:
+    """`ln.min_sampled_distance` over the full (nk, nl, 3) grid, with no
+    window: the reference it must match to the bit."""
+    ln._require_wide(lune)
+    if samples_k < 2 or samples_l < 2:
+        raise DomainError("need at least 2 samples on each arc")
+    vecmath = ln.vecmath
+    i, j = ln.equilateral_points(lune)
+    h = lune.side_b.center.v
+    n_b = lune.side_b.circle.n
+
+    t = np.linspace(0.0, 1.0, samples_k)
+    chord = vecmath.slerp(i.v, j.v, t)  # (nk, 3)
+
+    w = chord - (chord @ n_b)[:, None] * n_b
+    feet = vecmath.unit(w)
+    flip = np.where(feet @ h >= 0.0, 1.0, -1.0)
+    drops = feet * flip[:, None]  # (nk, 3)
+
+    lengths = vecmath.ang(h, drops)  # (nk,)
+    s = np.linspace(0.0, 1.0, samples_l)
+    num = (
+        np.sin((1.0 - s)[None, :, None] * lengths[:, None, None]) * h
+        + np.sin(s[None, :, None] * lengths[:, None, None]) * drops[:, None, :]
+    )
+    degenerate = lengths < 1e-12
+    num[degenerate] = h
+    arcs = vecmath.unit(num)  # (nk, nl, 3)
+
+    dists = vecmath.ang(chord[:, None, :], arcs)
+    return float(dists.min())
+
+
+def scalar_quad_sides(kappa, lam) -> list:
+    """The sides (kappa, lam, mu, nu, xi) of the quadrilateral embedding of
+    one pair, computed pair by pair with `math`'s trigonometry and the 1-D
+    `np.linalg.norm` and `np.dot`, and right angles checked by `angle_at`:
+    the reference whose bits `quad.measure_quads` must give every row."""
+    b = np.array([1.0, 0.0, 0.0])
+    c = np.array([math.cos(lam), math.sin(lam), 0.0])
+    a = np.array([math.cos(kappa), 0.0, math.sin(kappa)])
+    n_a = np.array([math.sin(kappa), 0.0, -math.cos(kappa)])
+    n_c = np.array([math.sin(lam), -math.cos(lam), 0.0])
+    w = pg.vecmath.cross(n_c, n_a)
+    d = w / float(np.linalg.norm(w))
+    if float(np.dot(d, a + c)) < 0.0:
+        d = -d
+    a, b, c, d = (SpherePoint(v) for v in (a, b, c, d))
+    for vertex, p, q in ((a, d, b), (b, a, c), (c, b, d)):
+        if abs(angle_at(vertex, p, q) - math.pi / 2) > 1e-10:
+            raise DomainError("embedding does not have right angles at a, b, c")
+    return [distance(a, b), distance(b, c), distance(c, d), distance(d, a), distance(b, d)]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphereconvex import (
@@ -22,6 +22,7 @@ from sphereconvex import (
     phi,
 )
 from strategies import rotate, rotations
+from support import bits, dense_min_sampled_distance
 
 TWO_PHI_AT_TWO_PI_THIRD = 1.871858911322652  # frozen: 2 * phi(2*pi/3)
 
@@ -233,6 +234,34 @@ class TestChordBounds:
         lune = construct_lune(delta)
         got = min_sampled_distance(lune, 60, 60)
         assert got >= 2 * phi(delta) - 1e-9
+
+    @given(
+        st.floats(math.pi / 2, math.pi, exclude_min=True, exclude_max=True),
+        st.integers(2, 250),
+        st.integers(2, 250),
+        st.none() | rotations(),
+    )
+    @settings(max_examples=60)
+    @example(3.1, 201, 200, None)  # the middle chord point drops onto h itself: a zero-length arc
+    @example(2.5, 3, 2, None)
+    @example(math.pi / 2 + 1e-12, 3, 2, None)  # the zero-length arc is in the window
+    @example(math.pi / 2 + 1e-9, 250, 250, None)
+    def test_min_sampled_distance_matches_full_grid(self, delta, samples_k, samples_l, rot):
+        # only the cells near the largest cosine get an angle; the minimum
+        # must be the full grid's to the bit, or fail as the full grid does
+        def outcome(f, lune):
+            try:
+                return bits(f(lune, samples_k, samples_l)).tolist()
+            except DomainError as exc:
+                return str(exc)
+
+        try:
+            lune = construct_lune(delta)
+            if rot is not None:
+                lune = rotated(lune, rot)
+        except DomainError:  # thickness rounds to an end of the range, or the sides coincide
+            return
+        assert outcome(min_sampled_distance, lune) == outcome(dense_min_sampled_distance, lune)
 
     def test_sample_counts_validated(self):
         lune = construct_lune(2.0)

@@ -36,6 +36,7 @@ from sphereconvex import (
 from sphereconvex import polygon as pg
 from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
 from support import (
+    bits,
     chart_contains,
     edge_edge_candidates,
     on_boundary,
@@ -618,6 +619,21 @@ class TestRegularTriangle:
     def test_domain_rejected(self, side):
         with pytest.raises(DomainError):
             regular_triangle(side)
+
+    def test_stack_matches_single_triangles(self):
+        # `tightness_table`'s family, the extremes of the side range, and a
+        # stack that has a bad side: one stack gives each triangle the
+        # diameters it gets alone, and raises what its first bad side raises
+        sides = [2.0 * phi(float(d)) for d in np.linspace(math.pi / 2 + 1e-3, math.pi - 1e-3, 50)]
+        sides += [1e-6, 0.3, math.pi / 2, 2 * math.pi / 3 - 1e-9]
+        diam, extreme = pg.triangle_diameters(sides)
+        single = [regular_triangle(s) for s in sides]
+        assert bits(diam).tolist() == bits([boundary_diameter(P).value for P in single]).tolist()
+        assert bits(extreme).tolist() == bits([extreme_diameter(P) for P in single]).tolist()
+        assert all(P._extreme.all() for P in single)
+        with pytest.raises(DomainError, match="side=3.0 too long"):
+            pg.triangle_diameters([0.5, 3.0, -1.0])
+        assert [a.size for a in pg.triangle_diameters([])] == [0, 0]
 
 
 class TestMargin:

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphereconvex import (
     DomainError,
+    SphereGeometryError,
     QuadSolution,
     angle_at,
     check_identities,
@@ -16,7 +18,8 @@ from sphereconvex import (
     phi_inverse_delta,
     solve_quad,
 )
-from sphereconvex.quad import _phi_formula
+from sphereconvex.quad import _phi_formula, measure_quads
+from support import bits, scalar_quad_sides
 
 # Frozen from a 40-digit evaluation of the closed forms; the side lengths
 # were additionally measured off an exact high-precision embedding and agree
@@ -30,6 +33,12 @@ XI_05_06 = 0.7191096666625881
 NEAR_OCTANT_SIDE = 0.7853981608974483
 
 sides = st.floats(0.01, math.pi / 2 - 0.01, allow_nan=False)
+# the whole domain, with extra weight at the 1e-8 floor and next to pi/2
+domain_sides = (
+    st.floats(1e-8, 1.001e-8)
+    | st.floats(math.pi / 2 - 1e-6, math.pi / 2, exclude_max=True)
+    | st.floats(1e-8, math.pi / 2, exclude_max=True)
+)
 
 
 class TestPhi:
@@ -200,6 +209,43 @@ class TestConstructQuad:
                 assert abs(meas.mu - sol.mu) <= 1e-9
                 assert abs(meas.nu - sol.nu) <= 1e-9
                 assert abs(meas.xi - sol.xi) <= 1e-9
+
+
+class TestStackedEmbedding:
+    @given(st.lists(st.tuples(domain_sides, domain_sides), min_size=1, max_size=20))
+    @settings(max_examples=80)
+    @example([(1e-8, 1e-8), (1e-8, 0.3), (1e-6, 1.5), (math.pi / 2 - 1e-6, 0.3), (math.pi / 2 - 1e-12,) * 2])
+    @example([(0.5, 0.6), (1.5, 1e-8), (0.3, 1e-7)])  # d meets a: DegeneratePair at row 1
+    @example([(0.5, 0.6), (0.3, 1e-7), (1.5, 1e-8)])  # an angle off by more than 1e-10: DomainError at row 1
+    def test_rows_match_scalar_embeddings(self, pairs):
+        # each row of one stack has the bits of the one-pair reference and of
+        # construct_quad(...).measured(); a stack raises what the first
+        # failing pair raises alone
+        def alone(kappa, lam):
+            try:
+                want = bits(scalar_quad_sides(kappa, lam)).tolist()
+            except SphereGeometryError as exc:
+                want = type(exc), str(exc)
+            try:
+                m = construct_quad(kappa, lam).measured()
+            except SphereGeometryError as exc:
+                assert want == (type(exc), str(exc))
+            else:
+                assert want == bits([m.kappa, m.lam, m.mu, m.nu, m.xi]).tolist()
+            return want
+
+        want = [alone(kappa, lam) for kappa, lam in pairs]
+        errors = [w for w in want if isinstance(w, tuple)]
+        kappas, lams = zip(*pairs)
+        if errors:
+            with pytest.raises(errors[0][0], match=re.escape(errors[0][1])):
+                measure_quads(kappas, lams)
+        else:
+            assert bits(measure_quads(kappas, lams)).tolist() == want
+
+    def test_domain_checked_pair_by_pair(self):
+        with pytest.raises(DomainError, match="lam=2.0 outside"):
+            measure_quads([0.5, 0.5, 0.0], [0.6, 2.0, 0.6])
 
 
 class TestCheckIdentities:

@@ -69,3 +69,16 @@ def test_negative_zero_products(name):
     w = np.array([[1.0, -0.0, 0.0], [-1.0, 0.0, -4.0], [0.0, 1.0, -0.0]])
     assert np.all(np.signbit(u * w))
     same_bits(name, u, w)
+
+
+def test_blas_dot_matches_one_dimensional_numpy():
+    # np.dot and np.linalg.norm of one 3-vector call BLAS dot, which may
+    # fuse a multiply and add, so the column sums of `dot` and `norm` can
+    # differ from them in the last bit; `blas_dot` gives every row their bits
+    rng = np.random.default_rng(11)
+    u = vectors(rng, (100_000, 3))
+    want = np.array([np.linalg.norm(row) for row in u])
+    assert np.sqrt(vecmath.blas_dot(u, u)).tobytes() == want.tobytes()
+    u, w = vectors(rng, (4, 7, 3)), np.asfortranarray(vectors(rng, (7, 3)))
+    want = np.array([[np.dot(a, b) for a, b in zip(row, w)] for row in u])
+    assert vecmath.blas_dot(u, w).tobytes() == want.tobytes()
