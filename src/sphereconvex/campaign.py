@@ -193,11 +193,17 @@ def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
 
 
 def _task(task: tuple):
-    """Run one `_map` task (kind, *args): a lune row, the quad grid, the
+    """Run one `_map` task (kind, *args): the lune rows, the quad grid, the
     triangle table or a trial chunk.  Its function is looked up when it runs,
     so a forked worker calls what this process would."""
     kind, *args = task
-    return {"lune": lune_checks, "quad": _quad_errors, "table": tightness_table, "trials": trial_chunk}[kind](*args)
+    return {"lune": _lune_rows, "quad": _quad_errors, "table": tightness_table, "trials": trial_chunk}[kind](*args)
+
+
+def _lune_rows(deltas: Sequence[float], samples: int) -> list[dict]:
+    """`lune_checks` rows of the grid deltas, in order; `lune_checks` is
+    looked up when this runs, as `_task` looks up its functions."""
+    return [lune_checks(d, samples) for d in deltas]
 
 
 def _map(tasks: Sequence[tuple]) -> list:
@@ -291,11 +297,12 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
     counts = [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))]
-    # One task list, grid first: with one CPU the grid checks run before the
-    # trials grow the heap, so their large temporaries do not add to the peak.
-    grid_tasks = [*(("lune", d, LUNE_SAMPLES) for d in deltas), ("quad", sides), ("table", deltas)]
+    # One task list, grid first: the lune rows are the longest single task,
+    # so a worker starts them before any trial chunk and they do not finish
+    # last; with one CPU they run before the trials grow the heap.
+    grid_tasks = [("lune", deltas, LUNE_SAMPLES), ("quad", sides), ("table", deltas)]
     results = iter(_map([*grid_tasks, *_chunks(seed, counts)]))
-    lunes, quad_errors, table = [next(results) for _ in deltas], next(results), next(results)
+    lunes, quad_errors, table = next(results), next(results), next(results)
     wide, small = _stream_rows(counts, results)
     diam, ext, nverts = wide.T
     margin, ratio = ext - 2.0 * np.array([phi(d) for d in diam]), ext / diam

@@ -119,7 +119,7 @@ def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
     if distance(k, lune.side_a.center) > phi(delta) + 1e-9:
         raise NotOnArc("point is outside the chord arc between the equilateral points")
     n_b = lune.side_b.circle.n
-    w = vecmath.reject(k.v, n_b)
+    w = vecmath.reject(vecmath.reject(k.v, n_b), n_b)  # twice, as in `min_sampled_distance`
     norm = float(np.linalg.norm(w))
     if norm < 1e-12:
         raise NotOnArc("point is a pole of the far circle; the drop is not unique")
@@ -127,6 +127,60 @@ def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
     if float(np.dot(foot, lune.side_b.center.v)) < 0.0:
         foot = -foot
     return SpherePoint(foot)
+
+
+# An arc shorter than _SHORT_ARC gets no row bound (`_row_bounds`), and
+# `min_sampled_distance` adds _ROW_SLACK to a row's bound before it drops it.
+_SHORT_ARC = 1e-6
+_ROW_SLACK = 1e-12
+
+
+def _cells(s: np.ndarray, lengths: np.ndarray, kh, kd, hd) -> tuple:
+    """The grid's cells at arc fractions s for rows of arc length `lengths`:
+    the sines sa, sb of the two parts of the arc at each cell and the cell's
+    cosine (sa kh + sb kd) / sqrt(sa^2 + sb^2 + 2 sa sb hd), with kh, kd, hd
+    the rows' (n, 1) columns k.h, k.drop and drop.h.  A row whose arc is
+    shorter than 1e-12 is the point h: its cells are k.h."""
+    sa = np.sin((1.0 - s)[None, :] * lengths[:, None])  # (n, ns)
+    sb = np.sin(s[None, :] * lengths[:, None])
+    # cos = (sa kh + sb kd) / sqrt(sa (sa + 2 hd sb) + sb^2), in place
+    den = sb * (2.0 * hd)
+    den += sa
+    den *= sa
+    den += sb * sb
+    cos = sa * kh
+    cos += sb * kd
+    with np.errstate(invalid="ignore"):  # a zero-length arc's cells are 0 / 0; kh replaces them
+        cos /= np.sqrt(den, out=den)
+    degenerate = lengths < 1e-12
+    cos[degenerate] = kh[degenerate]
+    return sa, sb, cos
+
+
+def _row_bounds(kh: np.ndarray, kd: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Largest cosine of each chord point k with the points of its arc from h
+    to its drop, from the row's geometry alone; inf for an arc shorter than
+    _SHORT_ARC.
+
+    The arc point at angle theta from h is cos(theta) h + sin(theta) e, with
+    e = (drop - cos(L) h) / sin(L) for the arc's length L, so its cosine with
+    k is A cos(theta) + B sin(theta), with A = k.h and
+    B = (k.drop - k.h cos(L)) / sin(L): a sinusoid that peaks at hypot(A, B)
+    at theta0 = atan2(B, A).  On [0, L] it rises to its peak and falls after
+    it, so its largest value there is the peak if theta0 is in [0, L], and
+    the larger end value, max(k.h, k.drop), otherwise.
+
+    B's rounding is a few ulps divided by sin(L), but the peak's derivative
+    in B is sin(theta0) <= sin(L), so the peak is within a few ulps too; the
+    second-order term, and the peak lost when rounding moves theta0 just
+    past an end, are of order (ulp / L)^2 < 1e-19 for L >= _SHORT_ARC.
+    Shorter arcs, where 1 / sin(L) takes over, get no bound.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # L = 0: no bound is used
+        b = (kd - kh * np.cos(lengths)) / np.sin(lengths)
+    peak = np.arctan2(b, kh)
+    bound = np.where((0.0 <= peak) & (peak <= lengths), np.hypot(kh, b), np.maximum(kh, kd))
+    return np.where(lengths < _SHORT_ARC, np.inf, bound)
 
 
 def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
@@ -141,16 +195,27 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     Point l is num / |num| with num = sa h + sb drop, the sines sa and sb of
     the two parts of the arc at l, so its cosine with k is
     (sa (k.h) + sb (k.drop)) / sqrt(sa^2 + sb^2 + 2 sa sb (h.drop)), one
-    scalar per cell.  The arc is at most pi/2 long and sa, sb >= 0, so
-    |num| >= (sa + sb) / sqrt(2), and this cosine is within a few ulps of the
-    true one; `vecmath.ang` is within a few ulps of the true angle.  A cell
-    whose cosine is below the largest by more than 1e-12 is so at least
+    scalar per cell (`_cells`).  The arc is at most pi/2 long and sa, sb >= 0,
+    so |num| >= (sa + sb) / sqrt(2), and this cosine is within a few ulps of
+    the true one; `vecmath.ang` is within a few ulps of the true angle.  A
+    cell whose cosine is below the largest by more than 1e-12 is so at least
     1e-12 - 1e-15 truly, so it is truly farther by as much (|d cos| <=
     |d angle|), and its angle rounds above that of the cell of largest
     cosine: it is not the minimum.  Only the cells within 1e-12 of the
     largest cosine get their point and angle, by the formulas of the full
     grid, so the minimum has the full grid's bits.  An arc shorter than
     1e-12 is the point h.
+
+    Only the rows (chord points k) that can hold such a cell get their
+    cells.  Every cell's point lies on its row's arc (sa, sb >= 0), so its
+    cosine is at most the row's bound (`_row_bounds`, the largest cosine of
+    k with any point of the arc) plus the cell's rounding and the bound's,
+    a few ulps each; _ROW_SLACK = 1e-12 covers both with room to spare.
+    The two end cells of every row (s = 0 and s = 1), by the same formula,
+    are cells of the grid, so their largest cosine `top` is at most the
+    grid's largest.  A row whose bound + _ROW_SLACK is below top - 1e-12 has
+    no cell within 1e-12 of the grid's largest cosine, and is left out.  The
+    bound uses only the row's geometry, never the inequality the grid checks.
     """
     delta = _require_wide(lune)
     if samples_k < 2 or samples_l < 2:
@@ -163,29 +228,23 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     chord = vecmath.slerp(i.v, j.v, t)  # (nk, 3)
 
     w = chord - (chord @ n_b)[:, None] * n_b
+    # A chord point near side_b's pole leaves a short w that rounding tilts
+    # off side_b's plane; projecting it a second time puts it back ("twice
+    # is enough", as for Gram-Schmidt).
+    w -= (w @ n_b)[:, None] * n_b
     feet = vecmath.unit(w)
     flip = np.where(feet @ h >= 0.0, 1.0, -1.0)
     drops = feet * flip[:, None]  # (nk, 3)
 
     lengths = vecmath.ang(h, drops)  # (nk,)
-    s = np.linspace(0.0, 1.0, samples_l)
-    sa = np.sin((1.0 - s)[None, :] * lengths[:, None])  # (nk, nl)
-    sb = np.sin(s[None, :] * lengths[:, None])
     kh, kd, hd = (vecmath.dot(u, v)[:, None] for u, v in ((chord, h), (chord, drops), (drops, h)))
-    # cos = (sa kh + sb kd) / sqrt(sa (sa + 2 hd sb) + sb^2), in place
-    den = sb * (2.0 * hd)
-    den += sa
-    den *= sa
-    den += sb * sb
-    cos = sa * kh
-    cos += sb * kd
-    with np.errstate(invalid="ignore"):  # a zero-length arc's cells are 0 / 0; kh replaces them
-        cos /= np.sqrt(den, out=den)
-    degenerate = lengths < 1e-12
-    cos[degenerate] = kh[degenerate]
+    top = _cells(np.array([0.0, 1.0]), lengths, kh, kd, hd)[2].max()
+    rows = np.flatnonzero(_row_bounds(kh[:, 0], kd[:, 0], lengths) + _ROW_SLACK >= top - 1e-12)
+    chord, drops, lengths = chord[rows], drops[rows], lengths[rows]
+    sa, sb, cos = _cells(np.linspace(0.0, 1.0, samples_l), lengths, kh[rows], kd[rows], hd[rows])
     ki, li = np.nonzero(cos >= cos.max() - 1e-12)
     num = sa[ki, li, None] * h + sb[ki, li, None] * drops[ki]
-    num[degenerate[ki]] = h
+    num[lengths[ki] < 1e-12] = h
     return float(vecmath.ang(chord[ki], vecmath.unit(num)).min())
 
 

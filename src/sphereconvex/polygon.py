@@ -678,19 +678,20 @@ def extreme_diameter_margin(P: SphericalPolygon) -> float:
     return extreme_diameter(P) - 2.0 * phi(w.value)
 
 
-def _random_unit(rng: Generator) -> np.ndarray:
-    z = rng.uniform(-1.0, 1.0)
-    az = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return np.array([r * math.cos(az), r * math.sin(az), z])
-
-
 def _draw(rng: Generator, cap_radius_range: tuple[float, float]) -> tuple:
-    """One attempt's draws: a cap center, 1 - cos of its radius, and the height and azimuth draws of its samples."""
-    center = _random_unit(rng)
-    radius = rng.uniform(*cap_radius_range)
+    """One attempt's draws: a cap center, 1 - cos of its radius, and the
+    height and azimuth draws of its samples.  The center's height and
+    azimuth and the radius come from one `random(3)`, and the samples' from
+    one `random(2 * count)`: `uniform(lo, hi)` is lo + (hi - lo) u of the
+    same next double, so these are the bits of one `uniform` call per draw."""
+    uz, uaz, ur = rng.random(3).tolist()
+    z, az = -1.0 + 2.0 * uz, 2.0 * math.pi * uaz
+    lo, hi = cap_radius_range
     count = int(rng.integers(NUM_POINTS_RANGE[0], NUM_POINTS_RANGE[1] + 1))
-    return center, 1.0 - math.cos(radius), rng.uniform(size=count), rng.uniform(0.0, 2.0 * math.pi, size=count)
+    u = rng.random(2 * count)
+    r = math.sqrt(max(0.0, 1.0 - z * z))
+    center = np.array([r * math.cos(az), r * math.sin(az), z])
+    return center, 1.0 - math.cos(lo + (hi - lo) * ur), u[:count], 2.0 * math.pi * u[count:]
 
 
 def _sample_caps(center: np.ndarray, sag: np.ndarray, u: np.ndarray, az: np.ndarray) -> np.ndarray:

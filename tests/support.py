@@ -6,8 +6,9 @@ hide inside its own oracle.  The exception is `dense_boundary_diameters`,
 the unfiltered enumeration the prefilters must match to the bit, which
 therefore runs the library's own formulas; so do
 `dense_min_sampled_distance`, the full grid behind the lune clearance
-window, and `scalar_quad_sides`, the one-pair embedding behind the stacked
-quadrilaterals.
+window, `scalar_quad_sides`, the one-pair embedding behind the stacked
+quadrilaterals, and `six_call_draw`, the one-call-per-draw sampler behind
+`pg._draw`.
 """
 
 import math
@@ -229,6 +230,7 @@ def dense_min_sampled_distance(lune, samples_k, samples_l) -> float:
     chord = vecmath.slerp(i.v, j.v, t)  # (nk, 3)
 
     w = chord - (chord @ n_b)[:, None] * n_b
+    w -= (w @ n_b)[:, None] * n_b
     feet = vecmath.unit(w)
     flip = np.where(feet @ h >= 0.0, 1.0, -1.0)
     drops = feet * flip[:, None]  # (nk, 3)
@@ -266,3 +268,17 @@ def scalar_quad_sides(kappa, lam) -> list:
         if abs(angle_at(vertex, p, q) - math.pi / 2) > 1e-10:
             raise DomainError("embedding does not have right angles at a, b, c")
     return [distance(a, b), distance(b, c), distance(c, d), distance(d, a), distance(b, d)]
+
+
+def six_call_draw(rng, cap_radius_range) -> tuple:
+    """`pg._draw` as one generator call per draw (a `uniform` each for the
+    center's height and azimuth, the radius and the two sample arrays, and
+    `integers` for the count): the reference whose bits and generator state
+    `pg._draw` must give."""
+    z = rng.uniform(-1.0, 1.0)
+    az = rng.uniform(0.0, 2.0 * math.pi)
+    r = math.sqrt(max(0.0, 1.0 - z * z))
+    center = np.array([r * math.cos(az), r * math.sin(az), z])
+    radius = rng.uniform(*cap_radius_range)
+    count = int(rng.integers(pg.NUM_POINTS_RANGE[0], pg.NUM_POINTS_RANGE[1] + 1))
+    return center, 1.0 - math.cos(radius), rng.uniform(size=count), rng.uniform(0.0, 2.0 * math.pi, size=count)

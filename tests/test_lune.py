@@ -17,10 +17,12 @@ from sphereconvex import (
     construct_lune,
     distance,
     equilateral_points,
+    lune_checks,
     min_sampled_distance,
     perpendicular_drop,
     phi,
 )
+from sphereconvex import lune as ln, vecmath
 from strategies import rotate, rotations
 from support import bits, dense_min_sampled_distance
 
@@ -165,6 +167,14 @@ class TestPerpendicularDrop:
         connecting /= np.linalg.norm(connecting)
         assert float(np.dot(connecting, lune.side_b.circle.n)) == pytest.approx(0.0, abs=1e-10)
 
+    def test_drop_near_far_pole(self):
+        # side_a's center is 1e-11 from side_b's pole: one projection left
+        # the drop 1.6e-5 off side_b's circle and nearer than the thickness
+        lune = construct_lune(1.5707963268048966)
+        drop = perpendicular_drop(lune, lune.side_a.center)
+        assert abs(float(np.dot(drop.v, lune.side_b.circle.n))) <= 1e-15
+        assert distance(lune.side_a.center, drop) >= lune.thickness - 1e-12
+
     def test_off_circle_rejected(self):
         lune = construct_lune(2.0)
         with pytest.raises(NotOnArc):
@@ -246,6 +256,12 @@ class TestChordBounds:
     @example(2.5, 3, 2, None)
     @example(math.pi / 2 + 1e-12, 3, 2, None)  # the zero-length arc is in the window
     @example(math.pi / 2 + 1e-9, 250, 250, None)
+    # near pi/2 many chord points are almost as close to the far arc as the
+    # ends, so many rows survive the row bound: all 101, 91 of 201, 11 of 249
+    @example(math.pi / 2 + 3e-12, 101, 101, None)
+    @example(math.pi / 2 + 1e-11, 201, 200, None)
+    @example(math.pi / 2 + 1e-10, 249, 7, None)
+    @example(1.5707963268048966, 201, 201, None)  # the middle chord point is 1e-11 from side_b's pole
     def test_min_sampled_distance_matches_full_grid(self, delta, samples_k, samples_l, rot):
         # only the cells near the largest cosine get an angle; the minimum
         # must be the full grid's to the bit, or fail as the full grid does
@@ -262,6 +278,43 @@ class TestChordBounds:
         except DomainError:  # thickness rounds to an end of the range, or the sides coincide
             return
         assert outcome(min_sampled_distance, lune) == outcome(dense_min_sampled_distance, lune)
+
+    @pytest.mark.parametrize("samples", [3, 5, 201])
+    def test_near_pole_drop_keeps_clearance(self, samples):
+        # thickness pi/2 + 1e-11: the middle chord point's projection onto
+        # side_b's plane is 1e-11 long, and one projection left its drop
+        # 1.6e-5 off the circle, inside the clearance (margin -1.57e-5)
+        row = lune_checks(1.5707963268048966, samples)
+        assert row["sampled_min_margin"] >= -1e-15
+        assert row["sampled_min_distance"] == row["chord_to_apex_min"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_bound_covers_grid_cells(self, seed):
+        # random rows (k, h, drop): the bound plus its slack is at least every
+        # grid cell's cosine, and it is the row's largest cosine, not a loose
+        # cap; half the rows put k's peak strictly inside the arc
+        rng = np.random.default_rng(seed)
+        n = 800
+        h = vecmath.unit(rng.normal(size=(n, 3)))
+        e = vecmath.unit(np.cross(h, rng.normal(size=(n, 3))))
+        length = np.where(rng.random(n) < 0.5, 10 ** rng.uniform(-6, 0, n), rng.uniform(0, math.pi / 2, n))
+        drop = vecmath.unit(np.cos(length)[:, None] * h + np.sin(length)[:, None] * e)
+        k = vecmath.unit(rng.normal(size=(n, 3)))
+        inner = rng.random(n) < 0.5
+        theta = rng.uniform(0.0, 1.0, n) * length
+        tilt = rng.uniform(-1.5, 1.5, n)
+        on_arc = np.cos(theta)[:, None] * h + np.sin(theta)[:, None] * e
+        k[inner] = vecmath.unit(np.cos(tilt)[:, None] * on_arc + np.sin(tilt)[:, None] * np.cross(h, e))[inner]
+        kh, kd, hd = (vecmath.dot(u, v) for u, v in ((k, h), (k, drop), (drop, h)))
+        lengths = vecmath.ang(h, drop)
+        keep = lengths >= ln._SHORT_ARC
+        kh, kd, hd, lengths = kh[keep], kd[keep], hd[keep], lengths[keep]
+        bound = ln._row_bounds(kh, kd, lengths)
+        _, _, cos = ln._cells(np.linspace(0.0, 1.0, 401), lengths, kh[:, None], kd[:, None], hd[:, None])
+        peak = np.arctan2(kd - kh * np.cos(lengths), kh * np.sin(lengths))
+        assert np.mean((0.0 < peak) & (peak < lengths)) > 0.4
+        assert np.all(bound + ln._ROW_SLACK >= cos.max(axis=1))
+        assert np.all(bound <= cos.max(axis=1) + 1e-5)
 
     def test_sample_counts_validated(self):
         lune = construct_lune(2.0)

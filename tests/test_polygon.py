@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -42,6 +43,7 @@ from support import (
     on_boundary,
     oracle_diameter,
     sampled_diameter,
+    six_call_draw,
     sphere_angle,
 )
 from strategies import rotate, rotations
@@ -589,6 +591,19 @@ class TestRandomPolygon:
         monkeypatch.setattr(pg, "_draw", None)  # a draw would raise TypeError
         with pytest.raises(error, match=match):
             draw(*args, **kwargs)
+
+    @pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
+    def test_draw_matches_six_calls(self, stream):
+        # three generator calls give the bits, and leave the generator in the
+        # state, of one call per draw; a trial redraws with the same generator
+        default = inspect.signature(pg.random_polygons).parameters["cap_radius_range"].default
+        cap_radius_range = STREAM_RANGES[stream].get("cap_radius_range", default)
+        for index in range(300):
+            a, b = (np.random.Generator(np.random.PCG64(np.random.SeedSequence([42, stream, index]))) for _ in "ab")
+            for _ in range(3):
+                got, want = pg._draw(a, cap_radius_range), six_call_draw(b, cap_radius_range)
+                assert [bits(x).tolist() for x in got] == [bits(x).tolist() for x in want]
+            assert a.bit_generator.state == b.bit_generator.state
 
     @pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
     def test_stream_ranges_accepted(self, stream):
