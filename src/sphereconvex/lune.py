@@ -217,16 +217,25 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     no cell within 1e-12 of the grid's largest cosine, and is left out.  The
     bound uses only the row's geometry, never the inequality the grid checks.
     """
-    delta = _require_wide(lune)
-    if samples_k < 2 or samples_l < 2:
+    _require_wide(lune)
+    _require_samples(samples_k, samples_l)
+    return _min_distance(lune, _chord(*equilateral_points(lune), samples_k), samples_l)
+
+
+def _require_samples(*counts: int) -> None:
+    if min(counts) < 2:
         raise DomainError("need at least 2 samples on each arc")
-    i, j = equilateral_points(lune)
+
+
+def _chord(i: SpherePoint, j: SpherePoint, samples: int) -> np.ndarray:
+    """(samples, 3) evenly spaced points of the chord arc from i to j, ends included."""
+    return vecmath.slerp(i.v, j.v, np.linspace(0.0, 1.0, samples))
+
+
+def _min_distance(lune: Lune, chord: np.ndarray, samples_l: int) -> float:
+    """`min_sampled_distance` over the chord points given."""
     h = lune.side_b.center.v
     n_b = lune.side_b.circle.n
-
-    t = np.linspace(0.0, 1.0, samples_k)
-    chord = vecmath.slerp(i.v, j.v, t)  # (nk, 3)
-
     w = chord - (chord @ n_b)[:, None] * n_b
     # A chord point near side_b's pole leaves a short w that rounding tilts
     # off side_b's plane; projecting it a second time puts it back ("twice
@@ -260,13 +269,14 @@ def lune_checks(delta: float, samples: int) -> dict:
     """
     lune = construct_lune(delta)
     ph = phi(delta)
-    # Validates the sample count before the chord is sampled below.
-    min_kl = min_sampled_distance(lune, samples, samples)
     i, j = equilateral_points(lune)
+    _require_samples(samples)
+    # the chord of `min_sampled_distance(lune, samples, samples)`
+    chord = _chord(i, j, samples)
+    min_kl = _min_distance(lune, chord, samples)
     apex = lune.side_b.center
     sides = [distance(i, j), distance(i, apex), distance(j, apex)]
     # Worst slack of |k apex| >= 2*phi over the sampled chord.
-    chord = vecmath.slerp(i.v, j.v, np.linspace(0.0, 1.0, samples))
     min_kh = float(vecmath.ang(chord, apex.v).min())
     return {
         "thickness": delta,

@@ -21,9 +21,11 @@ a padded row are those of the ring.  Sums and argmax ties take the ring's own
 length and mask.  Products go through stacked np.matmul, which gives each
 ring the bits of its own (n, 3) product; so every ring of a stack gets the
 values it gets alone, and the scalar functions are the stacked ones at K = 1.
-Only the random draws run once per ring; the planar hulls too are taken on
-the padded stack.  Hulls are charted at a center the caller gives: a random
-polygon at its sampling cap's center, and other point sets at the center
+The random draws are arrays too: `streams.Streams` draws a round's attempts
+for all its trials at once, each with the bits of the trial's own numpy
+Generator, and the planar hulls are taken on the padded stack.  Hulls are
+charted at a center the caller gives: a random polygon at its sampling
+cap's center, and other point sets at the center
 `_hemisphere_center` searches: their normalized vector sum or, where some
 point has a dot of at most EPS_HEMI with it, the center of largest margin,
 the direction of the point of the set's convex hull in R^3 nearest the
@@ -38,9 +40,6 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
-# numpy imports numpy.random on first use; imported with this module, it is
-# loaded once before the trial pool forks rather than again in every worker
-from numpy.random import PCG64, Generator, SeedSequence
 
 from . import vecmath
 from .core import EPS_ANTIPODE, EPS_ON, SpherePoint, _as_unit_rows
@@ -54,6 +53,7 @@ from .errors import (
     TooFewPoints,
 )
 from .quad import phi
+from .streams import Streams
 
 # Strict open-hemisphere containment margin for vertices.
 EPS_HEMI = 1e-6
@@ -116,13 +116,6 @@ def _shift(n: np.ndarray, m: int, s: int) -> np.ndarray:
 def _take(A: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rows idx[k] of each A[k]."""
     return A[np.arange(len(A))[:, None], idx]
-
-
-def _cyclic(parts: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of the arrays in parts, each repeated cyclically to the longest length, and their lengths."""
-    n = np.array([len(a) for a in parts])
-    off = np.cumsum(n) - n
-    return np.concatenate(parts)[off[:, None] + np.arange(n.max()) % n[:, None]], n
 
 
 class _Rings(NamedTuple):
@@ -678,20 +671,32 @@ def extreme_diameter_margin(P: SphericalPolygon) -> float:
     return extreme_diameter(P) - 2.0 * phi(w.value)
 
 
-def _draw(rng: Generator, cap_radius_range: tuple[float, float]) -> tuple:
-    """One attempt's draws: a cap center, 1 - cos of its radius, and the
-    height and azimuth draws of its samples.  The center's height and
-    azimuth and the radius come from one `random(3)`, and the samples' from
-    one `random(2 * count)`: `uniform(lo, hi)` is lo + (hi - lo) u of the
-    same next double, so these are the bits of one `uniform` call per draw."""
-    uz, uaz, ur = rng.random(3).tolist()
+def _draw_attempts(streams: Streams, rows: np.ndarray, cap_radius_range: tuple[float, float]) -> tuple:
+    """One attempt's draws for each of rows: the cap centers (k, 3), 1 - cos
+    of their radii, the height and azimuth draws of their samples as padded
+    (k, m) stacks, each row repeating its own cyclically, and the sample
+    counts.  Each row's draws are, and leave its generator as, a
+    `random(3)` for the center's height and azimuth and the radius,
+    `integers` for the count and a `random(2 * count)` for the samples, whose
+    heights are the first half and azimuths the second; `uniform(lo, hi)` is
+    lo + (hi - lo) u of the same next double.  The center and radius take
+    their cosines and sines from `math`, one row at a time, as a trial drawn
+    alone does: numpy's vectorized cos and sin need not round as `math`'s."""
+    uz, uaz, ur = streams.random(rows, 3).reshape(-1, 3).T
     z, az = -1.0 + 2.0 * uz, 2.0 * math.pi * uaz
     lo, hi = cap_radius_range
-    count = int(rng.integers(NUM_POINTS_RANGE[0], NUM_POINTS_RANGE[1] + 1))
-    u = rng.random(2 * count)
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    center = np.array([r * math.cos(az), r * math.sin(az), z])
-    return center, 1.0 - math.cos(lo + (hi - lo) * ur), u[:count], 2.0 * math.pi * u[count:]
+    count = streams.integers(rows, NUM_POINTS_RANGE[0], NUM_POINTS_RANGE[1] + 1)
+    u = streams.random(rows, 2 * count)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    center = np.stack([r * _math_map(math.cos, az), r * _math_map(math.sin, az), z], axis=1)
+    sag = 1.0 - _math_map(math.cos, lo + (hi - lo) * ur)
+    first = (np.cumsum(2 * count) - 2 * count)[:, None] + np.arange(count.max()) % count[:, None]
+    return center, sag, u[first], 2.0 * math.pi * u[first + count[:, None]], count
+
+
+def _math_map(f, x: np.ndarray) -> np.ndarray:
+    """The scalar `math` function f of each entry of x."""
+    return np.array(list(map(f, x.tolist())))
 
 
 def _sample_caps(center: np.ndarray, sag: np.ndarray, u: np.ndarray, az: np.ndarray) -> np.ndarray:
@@ -735,13 +740,14 @@ def random_polygons(
     """Trials `indices` of one stream of `random_polygon`, advanced in lockstep.
 
     Each round, every trial not yet accepted draws one attempt from its own
-    generator; the attempts' cap samples, hulls and diameters are computed
-    as one stack.  A trial is accepted on the first attempt whose hull
-    exists and whose boundary diameter falls inside diameter_range, so its
-    result is the one it gets alone, whatever the other trials are.  Each
-    hull is charted at its cap's center, the polygon's hemisphere_center, so
-    a cap_radius_range that reaches the horizon raises DomainError, as does
-    a seed, stream or index that is not a non-negative integer.
+    generator, a row of one `streams.Streams` for all the trials; the
+    attempts' cap samples, hulls and diameters are computed as one stack.
+    A trial is accepted on the first attempt whose hull exists and whose
+    boundary diameter falls inside diameter_range, so its result is the one
+    it gets alone, whatever the other trials are.  Each hull is charted at
+    its cap's center, the polygon's hemisphere_center, so a cap_radius_range
+    that reaches the horizon raises DomainError, as does a seed, stream or
+    index that is not a non-negative integer.
     """
     indices = list(indices)
     for name, key in (("seed", seed), ("stream", stream), *(("index", i) for i in indices)):
@@ -750,8 +756,8 @@ def random_polygons(
     lo, hi = cap_radius_range
     if not (0.0 < lo <= hi < math.pi / 2 and math.cos(hi) > EPS_HEMI):
         raise DomainError(f"cap_radius_range={cap_radius_range} needs 0 < lo <= hi < pi/2 and cos(hi) > EPS_HEMI")
-    rngs = [Generator(PCG64(SeedSequence([seed, stream, i]))) for i in indices]
-    K = len(rngs)
+    streams = Streams(seed, stream, indices)
+    K = len(indices)
     diameter, extreme = np.empty(K), np.empty(K)
     vertex_edge = np.zeros(K, dtype=bool)
     p, q = np.empty((K, 3)), np.empty((K, 3))
@@ -761,13 +767,11 @@ def random_polygons(
     for _ in range(MAX_ATTEMPTS):
         if not todo.size:
             break
-        center, sag, u, az = zip(*(_draw(rngs[k], cap_radius_range) for k in todo))
-        center = np.array(center)
-        u, count = _cyclic(u)
+        center, sag, u, az, count = _draw_attempts(streams, todo, cap_radius_range)
         # cap samples are unit to a few ulps, well inside the EPS_UNIT / 2 that
         # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly;
         # each has dot at least cos(radius) > EPS_HEMI with its cap's center
-        R, errors = _hulls(_sample_caps(center, np.array(sag), u, _cyclic(az)[0]), count, center)
+        R, errors = _hulls(_sample_caps(center, sag, u, az), count, center)
         if R is None:
             continue
         hulled = todo[[k for k, e in enumerate(errors) if e is None]]

@@ -6,9 +6,11 @@ hide inside its own oracle.  The exception is `dense_boundary_diameters`,
 the unfiltered enumeration the prefilters must match to the bit, which
 therefore runs the library's own formulas; so do
 `dense_min_sampled_distance`, the full grid behind the lune clearance
-window, `scalar_quad_sides`, the one-pair embedding behind the stacked
-quadrilaterals, and `six_call_draw`, the one-call-per-draw sampler behind
-`pg._draw`.
+window, and `scalar_quad_sides`, the one-pair embedding behind the stacked
+quadrilaterals.  `generator_draw` is one attempt's draws from numpy's own
+Generator, the reference whose bits and generator state the array sampler
+`pg._draw_attempts` must give, and `six_call_draw` that attempt as one
+generator call per draw.
 """
 
 import math
@@ -210,8 +212,15 @@ def dense_boundary_diameters(R) -> tuple:
     return (i, j, value), (np.where(edge, dist[kk, e], value), edge, p, q)
 
 
+def cyclic(parts) -> tuple:
+    """Stack of the arrays in parts, each repeated cyclically to the longest length, and their lengths."""
+    n = np.array([len(a) for a in parts])
+    off = np.cumsum(n) - n
+    return np.concatenate(parts)[off[:, None] + np.arange(n.max()) % n[:, None]], n
+
+
 def stack_of(polys) -> pg._Rings:
-    Vs, n = pg._cyclic([P._varr for P in polys])
+    Vs, n = cyclic([P._varr for P in polys])
     return pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
 
 
@@ -270,11 +279,27 @@ def scalar_quad_sides(kappa, lam) -> list:
     return [distance(a, b), distance(b, c), distance(c, d), distance(d, a), distance(b, d)]
 
 
+def generator_draw(rng, cap_radius_range) -> tuple:
+    """One attempt's draws from a numpy Generator: a cap center, 1 - cos of
+    its radius, and the height and azimuth draws of its samples.  The
+    center's height and azimuth and the radius come from one `random(3)`,
+    the count from `integers`, and the samples' draws from one
+    `random(2 * count)`."""
+    uz, uaz, ur = rng.random(3).tolist()
+    z, az = -1.0 + 2.0 * uz, 2.0 * math.pi * uaz
+    lo, hi = cap_radius_range
+    count = int(rng.integers(pg.NUM_POINTS_RANGE[0], pg.NUM_POINTS_RANGE[1] + 1))
+    u = rng.random(2 * count)
+    r = math.sqrt(max(0.0, 1.0 - z * z))
+    center = np.array([r * math.cos(az), r * math.sin(az), z])
+    return center, 1.0 - math.cos(lo + (hi - lo) * ur), u[:count], 2.0 * math.pi * u[count:]
+
+
 def six_call_draw(rng, cap_radius_range) -> tuple:
-    """`pg._draw` as one generator call per draw (a `uniform` each for the
-    center's height and azimuth, the radius and the two sample arrays, and
-    `integers` for the count): the reference whose bits and generator state
-    `pg._draw` must give."""
+    """`generator_draw` as one generator call per draw (a `uniform` each for
+    the center's height and azimuth, the radius and the two sample arrays,
+    and `integers` for the count): it must give the same bits and leave the
+    generator in the same state."""
     z = rng.uniform(-1.0, 1.0)
     az = rng.uniform(0.0, 2.0 * math.pi)
     r = math.sqrt(max(0.0, 1.0 - z * z))

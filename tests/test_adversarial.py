@@ -36,7 +36,7 @@ from sphereconvex.campaign import CampaignConfig
 from sphereconvex.cli import main
 from sphereconvex.core import _as_unit_rows
 from strategies import rotations
-from support import bits, dense_boundary_diameters, stack_of
+from support import bits, cyclic, dense_boundary_diameters, stack_of
 
 
 def on_sphere(rot, polar, azimuth) -> np.ndarray:
@@ -161,7 +161,7 @@ def test_clouds_give_polygons_or_library_errors(cloud_list):
     if not stacked:
         return
     arrs = [_as_unit_rows(cloud_list[k]) for k in stacked]
-    R, errors = pg._hulls(*pg._cyclic(arrs), np.array([pg._hemisphere_center(arr) for arr in arrs]))
+    R, errors = pg._hulls(*cyclic(arrs), np.array([pg._hemisphere_center(arr) for arr in arrs]))
     row = 0
     for k, err in zip(stacked, errors):
         want = hulls[k]

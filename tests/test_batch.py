@@ -31,7 +31,7 @@ from sphereconvex import (
 from sphereconvex import polygon as pg
 from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
 from sphereconvex.core import _as_unit_rows
-from support import bits, dense_boundary_diameters, stack_of
+from support import bits, cyclic, dense_boundary_diameters, stack_of
 
 SEED = 42
 # Wide trials of seed 42 on the rare paths of `random_polygon`, and the number
@@ -70,9 +70,17 @@ def counting(monkeypatch, *names) -> dict:
 @pytest.mark.parametrize("index", sorted(RARE_WIDE))
 def test_rare_trials_take_their_paths(monkeypatch, index):
     # a redraw (diameter out of range), and no hemisphere search for any cloud
-    calls = counting(monkeypatch, "_draw", "_nearest_center")
+    calls = counting(monkeypatch, "_nearest_center")
+    attempts = []
+    real = pg._draw_attempts
+
+    def counted(streams, rows, *args):
+        attempts.extend(rows.tolist())
+        return real(streams, rows, *args)
+
+    monkeypatch.setattr(pg, "_draw_attempts", counted)
     campaign.replay(SEED, STREAM_WIDE, index)
-    assert (calls["_draw"], calls["_nearest_center"]) == (RARE_WIDE[index], 0)
+    assert (len(attempts), set(attempts), calls["_nearest_center"]) == (RARE_WIDE[index], {0}, 0)
 
 
 @pytest.mark.parametrize(
@@ -182,7 +190,7 @@ def test_planar_hull_matches_qhull(name):
 def test_planar_hull_stack_equals_single_clouds():
     clouds = list(planar_clouds().values())
     for order in (clouds, clouds[::-1]):
-        Z, n = pg._cyclic(order)
+        Z, n = cyclic(order)
         ring, size = pg._planar_hulls(Z, n)
         for k, cloud in enumerate(order):
             assert np.array_equal(ring[k, : size[k]], alone(cloud))  # start vertex included
@@ -232,7 +240,7 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
     }
     calls = counting(monkeypatch, "_rings", "_nearest_center")
     for order in (stacked, stacked[::-1]):
-        P, n = pg._cyclic([clouds[k] for k in order])
+        P, n = cyclic([clouds[k] for k in order])
         R, errors = pg._hulls(P, n, np.array([centers[k] for k in order]))
         row = 0
         for k, err in zip(order, errors):
@@ -259,7 +267,7 @@ def test_tie_goes_to_first_pair_in_a_stack():
     rng = np.random.default_rng(8)
     others = [convex_hull(cap_cloud(rng, count, 1.2)) for count in (12, 30, 6)]
     for polys in ([square, *others], [*others, square], [others[0], square, *others[1:]]):
-        Vs, n = pg._cyclic([P._varr for P in polys])
+        Vs, n = cyclic([P._varr for P in polys])
         R = pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
         pairs = pg._pair_angles(R.V)
         value, edge, p, q = pg._boundary_diameters(R, pairs)

@@ -40,6 +40,7 @@ from support import (
     bits,
     chart_contains,
     edge_edge_candidates,
+    generator_draw,
     on_boundary,
     oracle_diameter,
     sampled_diameter,
@@ -567,7 +568,7 @@ class TestRandomPolygon:
     # the cap center charts the hull, so no cap may reach its horizon
     @pytest.mark.parametrize("cap_radius_range", [(0.5, math.pi / 2), (0.5, 2 * math.pi), (0.0, 1.0), (1.0, 0.5)])
     def test_cap_range_rejected_before_any_draw(self, monkeypatch, cap_radius_range):
-        monkeypatch.setattr(pg, "_draw", None)  # a draw would raise TypeError
+        monkeypatch.setattr(pg, "_draw_attempts", None)  # a draw would raise TypeError
         with pytest.raises(DomainError, match="cap_radius_range"):
             random_polygon(1, 0, cap_radius_range=cap_radius_range)
 
@@ -588,7 +589,7 @@ class TestRandomPolygon:
         ],
     )
     def test_trial_key_rejected_before_any_draw(self, monkeypatch, draw, args, kwargs, error, match):
-        monkeypatch.setattr(pg, "_draw", None)  # a draw would raise TypeError
+        monkeypatch.setattr(pg, "_draw_attempts", None)  # a draw would raise TypeError
         with pytest.raises(error, match=match):
             draw(*args, **kwargs)
 
@@ -601,7 +602,7 @@ class TestRandomPolygon:
         for index in range(300):
             a, b = (np.random.Generator(np.random.PCG64(np.random.SeedSequence([42, stream, index]))) for _ in "ab")
             for _ in range(3):
-                got, want = pg._draw(a, cap_radius_range), six_call_draw(b, cap_radius_range)
+                got, want = generator_draw(a, cap_radius_range), six_call_draw(b, cap_radius_range)
                 assert [bits(x).tolist() for x in got] == [bits(x).tolist() for x in want]
             assert a.bit_generator.state == b.bit_generator.state
 

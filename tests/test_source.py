@@ -1,6 +1,9 @@
 """Static checks on the library's own source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,14 +93,52 @@ def test_no_scipy_at_import(name):
     assert [m for m in _import_time_modules(TREES[name]) if m.split(".")[0] == "scipy"] == []
 
 
+def _imported_modules(tree: ast.Module) -> list[str]:
+    """Every module the module imports, inside functions too."""
+    return [
+        alias.name if isinstance(node, ast.Import) else node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(TREES), ids=str)
 def test_no_scipy_anywhere(name):
     # not inside a function either: scipy is a test dependency only, and the
     # hemisphere center is the nearest point of the cloud's hull, found in numpy
-    imported = [
-        alias.name if isinstance(node, ast.Import) else node.module or ""
-        for node in ast.walk(TREES[name])
-        if isinstance(node, (ast.Import, ast.ImportFrom))
+    assert [m for m in _imported_modules(TREES[name]) if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("name", sorted(TREES), ids=str)
+def test_no_numpy_random_anywhere(name):
+    # importing numpy.random, with the secrets and hashlib it loads, adds
+    # about 16 ms to every CLI run; the trials draw their PCG64 streams as
+    # arrays in `streams`
+    tree = TREES[name]
+    uses = [m for m in _imported_modules(tree) if m == "numpy.random" or m.startswith("numpy.random.")]
+    uses += [
+        f"numpy.{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
         for alias in node.names
+        if alias.name == "random"
     ]
-    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
+    uses += [
+        f"{node.value.id}.random (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "random"
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    assert uses == []
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # `import numpy` loads numpy.random only on first use, so no module of
+    # the library may touch it at import
+    code = "import sys, sphereconvex.cli; print([m for m in sys.modules if m.startswith('numpy.random')])"
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
