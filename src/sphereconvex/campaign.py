@@ -49,8 +49,8 @@ QUAD_GRID_RANGE = (0.05, math.pi / 2 - 0.05)
 # Monte Carlo trials per chunk the pool hands to a worker process, drawn
 # there as one batch.  Each round of a batch costs a few hundred numpy calls
 # whatever its size, so larger chunks pay that less often: on one core,
-# `verify --trials 2000` took 1.4 times as long in chunks of 100, 1.1 times
-# in chunks of 250, and as long in chunks of 1000.
+# `verify --trials 2000` took 1.3-1.5 times as long in chunks of 100, 1.1
+# times in chunks of 250, and about as long in chunks of 1000.
 TRIAL_CHUNK = 500
 
 # Stream tags for per-trial PCG64 substreams.

@@ -42,15 +42,19 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Outputs `Streams.next64` computes per pass, so that a pass's two dozen
 # temporary uint64 arrays stay in cache: on a 2-core Xeon, 4096 drew a
-# 500-trial chunk's samples fastest of 2048 to 16384, and 2.4 times as fast
-# as one pass.
+# 500-trial chunk's samples fastest of 2048 to 16384, and 2.4-2.6 times as
+# fast as one pass.
 _BLOCK = 4096
 
 
+def _width(key: int) -> int:
+    """How many SeedSequence entropy words a key has: its little-endian
+    uint32 words, and 0 is one word."""
+    return max(1, (key.bit_length() + 31) // 32)
+
+
 def _words(key: int) -> list[int]:
-    """A key as SeedSequence's entropy words: little-endian uint32, 0 as [0]."""
-    key = int(key)
-    return [key >> shift & _MASK32 for shift in range(0, max(key.bit_length(), 1), 32)]
+    return [key >> 32 * t & _MASK32 for t in range(_width(key))]
 
 
 def _hash_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
@@ -142,10 +146,10 @@ class Streams:
 
     def __init__(self, seed: int, stream: int, indices: Sequence[int]):
         keys = [int(i) for i in indices]
-        widths = [max(1, (key.bit_length() + 31) // 32) for key in keys]
+        widths = [_width(key) for key in keys]
         self.hi, self.lo, self.inc_hi, self.inc_lo, self.uinteger = np.zeros((5, len(keys)), dtype=np.uint64)
         self.has_uint32 = np.zeros(len(keys), dtype=bool)
-        head = [np.uint32(w) for w in _words(seed) + _words(stream)]
+        head = [np.uint32(w) for w in _words(int(seed)) + _words(int(stream))]
         for width in set(widths):  # rows with as many entropy words hash alike
             rows = np.array([k for k, w in enumerate(widths) if w == width])
             index = [np.array([keys[k] >> 32 * t & _MASK32 for k in rows], dtype=np.uint32) for t in range(width)]
@@ -180,9 +184,7 @@ class Streams:
 
     def random(self, rows: np.ndarray, n) -> np.ndarray:
         """`Generator.random(n[k])` of each of rows, row after row, as one array."""
-        # below 2^53, so the int64 view is the same number, and converts
-        # to a double much faster than uint64 does
-        return (self.next64(rows, n) >> 11).view(np.int64) * 2.0**-53
+        return (self.next64(rows, n) >> 11) * 2.0**-53
 
     def next_uint32(self, rows: np.ndarray) -> np.ndarray:
         """next_uint32 of each of rows: the buffered high half of its last
