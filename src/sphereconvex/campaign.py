@@ -185,14 +185,13 @@ def replay(seed: int, stream: int, index: int) -> tuple[SphericalPolygon, Diamet
     return P, w, extreme_diameter(P)
 
 
-def trial_chunk(seed: int, stream: int, start: int, stop: int) -> list[tuple]:
-    """Rows (boundary diameter, extreme diameter, vertex count) of trials
-    start, ..., stop - 1 of one stream, drawn as one `random_polygons` batch.
-    Each row has the bits `replay` gives its trial.  Only scalars are kept,
-    so no polygon outlives its chunk.
-    """
+def trial_chunk(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, 3) rows (boundary diameter, extreme diameter, vertex
+    count) of trials start, ..., stop - 1 of one stream, drawn as one
+    `random_polygons` batch, each with the bits `replay` gives its trial.
+    Only numbers are kept, so no polygon outlives its chunk."""
     T = random_polygons(seed, range(start, stop), stream=stream, **STREAM_RANGES[stream])
-    return list(zip(T.diameter.tolist(), T.extreme.tolist(), T.vertices.tolist()))
+    return np.stack([T.diameter, T.extreme, T.vertices], axis=1)
 
 
 def _task(task: tuple):
@@ -249,11 +248,10 @@ def _chunks(seed: int, counts: Sequence[tuple[int, int]]) -> list[tuple]:
     ]
 
 
-def _stream_rows(counts: Sequence[tuple[int, int]], chunks: Iterable[list[tuple]]) -> list[np.ndarray]:
+def _stream_rows(counts: Sequence[tuple[int, int]], chunks: Iterable[np.ndarray]) -> list[np.ndarray]:
     """The rows of the `_chunks` tasks' results, one array per stream."""
-    flat = [row for chunk in chunks for row in chunk]
-    ends = np.cumsum([count for _, count in counts])
-    return [np.array(flat[end - count : end], dtype=float) for (_, count), end in zip(counts, ends)]
+    rows = np.concatenate([np.empty((0, 3)), *chunks])
+    return np.split(rows, np.cumsum([count for _, count in counts]))[:-1]
 
 
 def trial_rows(seed: int, counts: Sequence[tuple[int, int]]) -> list[np.ndarray]:

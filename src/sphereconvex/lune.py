@@ -118,15 +118,25 @@ def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
         raise NotOnArc("point is not on the circle carrying the chord arc")
     if distance(k, lune.side_a.center) > phi(delta) + 1e-9:
         raise NotOnArc("point is outside the chord arc between the equilateral points")
-    n_b = lune.side_b.circle.n
-    w = vecmath.reject(vecmath.reject(k.v, n_b), n_b)  # twice, as in `min_sampled_distance`
-    norm = float(np.linalg.norm(w))
-    if norm < 1e-12:
+    drops, norms = _drops(lune, k.v[None])
+    if norms[0] < 1e-12:
         raise NotOnArc("point is a pole of the far circle; the drop is not unique")
-    foot = w / norm
-    if float(np.dot(foot, lune.side_b.center.v)) < 0.0:
-        foot = -foot
-    return SpherePoint(foot)
+    return SpherePoint(drops[0])
+
+
+def _drops(lune: Lune, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drops of the (n, 3) points onto side_b (w / |w| toward its center) and
+    the norms of their projections w onto its plane.  Rounding tilts the short
+    w of a point near the pole off the plane; a second projection puts it
+    back ("twice is enough", as for Gram-Schmidt)."""
+    n_b = lune.side_b.circle.n
+    w = points - (points @ n_b)[:, None] * n_b
+    w -= (w @ n_b)[:, None] * n_b
+    norms = vecmath.norm(w)
+    with np.errstate(invalid="ignore"):  # a pole's w may vanish; `perpendicular_drop` rejects it by its norm
+        feet = w / norms[:, None]
+    flip = np.where(feet @ lune.side_b.center.v >= 0.0, 1.0, -1.0)
+    return feet * flip[:, None], norms
 
 
 # An arc shorter than _SHORT_ARC gets no row bound (`_row_bounds`), and
@@ -235,16 +245,7 @@ def _chord(i: SpherePoint, j: SpherePoint, samples: int) -> np.ndarray:
 def _min_distance(lune: Lune, chord: np.ndarray, samples_l: int) -> float:
     """`min_sampled_distance` over the chord points given."""
     h = lune.side_b.center.v
-    n_b = lune.side_b.circle.n
-    w = chord - (chord @ n_b)[:, None] * n_b
-    # A chord point near side_b's pole leaves a short w that rounding tilts
-    # off side_b's plane; projecting it a second time puts it back ("twice
-    # is enough", as for Gram-Schmidt).
-    w -= (w @ n_b)[:, None] * n_b
-    feet = vecmath.unit(w)
-    flip = np.where(feet @ h >= 0.0, 1.0, -1.0)
-    drops = feet * flip[:, None]  # (nk, 3)
-
+    drops = _drops(lune, chord)[0]  # (nk, 3)
     lengths = vecmath.ang(h, drops)  # (nk,)
     kh, kd, hd = (vecmath.dot(u, v)[:, None] for u, v in ((chord, h), (chord, drops), (drops, h)))
     top = _cells(np.array([0.0, 1.0]), lengths, kh, kd, hd)[2].max()

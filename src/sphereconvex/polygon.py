@@ -21,15 +21,17 @@ a padded row are those of the ring.  Sums and argmax ties take the ring's own
 length and mask.  Products go through stacked np.matmul, which gives each
 ring the bits of its own (n, 3) product; so every ring of a stack gets the
 values it gets alone, and the scalar functions are the stacked ones at K = 1.
-The random draws are arrays too: `streams.Streams` draws a round's attempts
-for all its trials at once, each with the bits of the trial's own numpy
-Generator, and the planar hulls are taken on the padded stack.  Hulls are
-charted at a center the caller gives: a random polygon at its sampling
-cap's center, and other point sets at the center
-`_hemisphere_center` searches: their normalized vector sum or, where some
-point has a dot of at most EPS_HEMI with it, the center of largest margin,
-the direction of the point of the set's convex hull in R^3 nearest the
-origin, which Wolfe's nearest-point algorithm finds in plain numpy.
+A stage reports failure as an int code per row, -1 for none: `_ring_faults`
+indexes _FAULTS for each ring and `_hulls` _HULL_FAULTS for each cloud, and
+only the scalar functions raise.  The random draws are arrays too:
+`streams.Streams` draws a round's attempts for all its trials at once, each
+with the bits of the trial's own numpy Generator, and the planar hulls are
+taken on the padded stack.  Hulls are charted at a center the caller gives:
+a random polygon at its sampling cap's center, and other point sets at the
+center `_hemisphere_center` searches: their normalized vector sum or, where
+some point has a dot of at most EPS_HEMI with it, the center of largest
+margin, the direction of the point of the set's convex hull in R^3 nearest
+the origin, which Wolfe's nearest-point algorithm finds in plain numpy.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ _FAULTS = (
     "vertices are not in convex counterclockwise order",
     "vertex cycle does not wind once around the polygon",
 )
+# Why a cloud has no hull: `_hulls`' fault codes.
+_HULL_FAULTS = (
+    "points are collinear in the chart (one great circle)",
+    "hull collapsed to fewer than 3 vertices",
+)
 
 
 def _chart_basis(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +153,6 @@ def _rings(V: np.ndarray, n: np.ndarray, c: np.ndarray) -> _Rings:
     return _Rings(V, n, c, vecmath.ang(V, B), N, t)
 
 
-def _ring_sums(A: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """np.sum of each A[k, :n[k]], by ring length: pairwise summation groups by length."""
-    out = np.empty(len(n))
-    for length in set(n.tolist()):  # not np.unique, whose first call imports numpy.ma
-        rows = n == length
-        out[rows] = A[rows, :length].sum(axis=1)
-    return out
-
-
 def _ring_faults(R: _Rings) -> np.ndarray:
     """Index into _FAULTS of the first check each cycle fails; -1 for a polygon.
 
@@ -163,21 +161,34 @@ def _ring_faults(R: _Rings) -> np.ndarray:
     the cycle winds once.  The area is the fan of signed triangles
     (c, V_i, V_{i+1}); c.(V_i x V_{i+1}) is sin(L_i) c.N_i, and atan2's x > 0 as
     every vertex is in c's hemisphere.
+
+    Turns plus fan are summed once, masked to each ring's own entries.  The
+    sum's bits never decide anything: for a cycle that passes the first four
+    checks, it is 2*pi times the winding number up to rounding (~1e-13), so
+    the test at 1e-6 gives the same answer in any order of summation.
     """
     Vc = _dots(R.V, R.c)
-    fan = 2.0 * np.arctan2(
-        np.sin(R.L) * _dots(R.N, R.c), 1.0 + Vc + _take(Vc, _shift(R.n, Vc.shape[1], 1)) + np.cos(R.L)
-    )
+    m = Vc.shape[1]
+    fan = 2.0 * np.arctan2(np.sin(R.L) * _dots(R.N, R.c), 1.0 + Vc + _take(Vc, _shift(R.n, m, 1)) + np.cos(R.L))
+    total = np.add.reduce(R.t + fan, axis=1, where=np.arange(m) < R.n[:, None])
     fails = np.stack(
         [
             Vc.min(axis=1) <= EPS_HEMI,
             np.any((R.L <= EPS_ANTIPODE) | (R.L >= math.pi - EPS_ANTIPODE), axis=1),
             np.any(np.abs(R.t) >= math.pi - 1e-12, axis=1),
             np.any(R.t < -1e-9, axis=1),
-            np.abs(_ring_sums(R.t, R.n) + _ring_sums(fan, R.n) - 2.0 * math.pi) > 1e-6,
+            np.abs(total - 2.0 * math.pi) > 1e-6,
         ]
     )
     return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
+
+
+def _validated(R: _Rings) -> _Rings:
+    """R, or InvalidPolygon with the first fault of its first ring that fails."""
+    faults = _ring_faults(R)
+    if np.any(faults >= 0):
+        raise InvalidPolygon(_FAULTS[faults[faults >= 0][0]])
+    return R
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -213,11 +224,7 @@ class SphericalPolygon:
         V = _as_unit_rows(vertices)
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
-        R = _rings(V[None], np.array([V.shape[0]]), hemisphere_center.v[None])
-        fault = _ring_faults(R)[0]
-        if fault >= 0:
-            raise InvalidPolygon(_FAULTS[fault])
-        self._fill(R, 0, hemisphere_center)
+        self._fill(_validated(_rings(V[None], np.array([V.shape[0]]), hemisphere_center.v[None])), 0, hemisphere_center)
 
     @classmethod
     def _of(cls, R: _Rings, k: int) -> "SphericalPolygon":
@@ -434,7 +441,7 @@ def _planar_hulls(Z: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return idx[:, 1:-1], np.where((n < 3) | flat.all(axis=1), 0, n)
 
 
-def _hulls(P: np.ndarray, n: np.ndarray, c: np.ndarray) -> tuple[_Rings | None, list]:
+def _hulls(P: np.ndarray, n: np.ndarray, c: np.ndarray) -> tuple[_Rings, np.ndarray]:
     """Spherical convex hulls of K clouds of at least three unit points.
 
     P is a padded (K, m, 3) stack of the clouds, n their sizes and c (K, 3)
@@ -442,20 +449,18 @@ def _hulls(P: np.ndarray, n: np.ndarray, c: np.ndarray) -> tuple[_Rings | None, 
     Each cloud is projected gnomonically to the tangent plane at its c, its
     planar hull is taken there by `_planar_hulls`, and the hull ring is
     mapped back and reduced to extreme vertices by `_extreme_rings`.
-    Returns the hulls of the clouds that have one, in input order (None when
-    no cloud has one), and per cloud the DegenerateHull it raised, or None.
+    Returns the stack of the hulls, in input order and empty when no cloud
+    has one, and per cloud its fault code: -1 for a hull, else the index
+    into _HULL_FAULTS of why it has none.
     """
     e1, e2 = _chart_basis(c)
     d = _dots(P, c)
     ring, size = _planar_hulls(_dots(P, e1) / d + 1j * (_dots(P, e2) / d), n)
     hulled = size > 0
-    errors = [None if h else DegenerateHull("points are collinear in the chart (one great circle)") for h in hulled]
-    if not hulled.any():
-        return None, errors
     R, ok = _extreme_rings(_rings(_take(P[hulled], ring[hulled]), size[hulled], c[hulled]))
-    for k in np.flatnonzero(hulled)[~ok]:
-        errors[k] = DegenerateHull("hull collapsed to fewer than 3 vertices")
-    return _Rings(*(a[ok] for a in R)), errors
+    fault = np.zeros(len(n), dtype=int)
+    fault[hulled] = np.where(ok, -1, 1)
+    return _Rings(*(a[ok] for a in R)), fault
 
 
 def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
@@ -472,9 +477,9 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
     arr = _as_unit_rows(points)
     if arr.shape[0] < 3:
         raise TooFewPoints(f"need at least 3 points, got {arr.shape[0]}")
-    R, errors = _hulls(arr[None], np.array([arr.shape[0]]), _hemisphere_center(arr)[None])
-    if errors[0] is not None:
-        raise errors[0]
+    R, fault = _hulls(arr[None], np.array([arr.shape[0]]), _hemisphere_center(arr)[None])
+    if fault[0] >= 0:
+        raise DegenerateHull(_HULL_FAULTS[fault[0]])
     return SphericalPolygon._of(R, 0)
 
 
@@ -516,7 +521,7 @@ def _farthest(G: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """Per ring, the first pair i < j < n in row-major order at the largest
     angle of `_pair_angles`: rows i, rows j and the angle."""
     K, m = G.shape[:2]
-    k = np.where(np.arange(m) < n[:, None, None], G, -np.inf).reshape(K, -1).argmax(axis=1)
+    k = np.where(np.arange(m) < n[:, None, None], G, -np.inf).reshape(K, m * m).argmax(axis=1)
     i, j = np.divmod(k, m)
     return i, j, G[np.arange(K), i, j]
 
@@ -578,6 +583,12 @@ def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return value, edge, p, q
 
 
+def _diameters(R: _Rings) -> tuple[np.ndarray, ...]:
+    """`_boundary_diameters` of a stack whose every vertex is extreme, and its vertex-vertex (extreme) diameters."""
+    G = _pair_angles(R.V)
+    return (*_boundary_diameters(R, G), _farthest(G, R.n)[2])
+
+
 def _witness(value, edge, p, q) -> DiameterWitness:
     return DiameterWitness(
         p=SpherePoint(p), q=SpherePoint(q), value=float(value), attainment=VERTEX_EDGE if edge else VERTEX_VERTEX
@@ -625,11 +636,8 @@ def _regular_triangles(sides: Sequence[float]) -> _Rings:
     azimuths = np.array([(math.cos(2.0 * math.pi * k / 3.0), math.sin(2.0 * math.pi * k / 3.0)) for k in range(3)])
     st = np.sqrt(1.0 - q)[:, None, None]
     V = np.concatenate([st * azimuths, np.broadcast_to(np.sqrt(q)[:, None, None], (K, 3, 1))], axis=2)
-    R = _rings(_as_unit_rows(V.reshape(-1, 3)).reshape(K, 3, 3), np.full(K, 3), np.tile([0.0, 0.0, 1.0], (K, 1)))
-    faults = _ring_faults(R)
-    if np.any(faults >= 0):
-        raise InvalidPolygon(_FAULTS[faults[faults >= 0][0]])
-    return R
+    c = np.tile([0.0, 0.0, 1.0], (K, 1))
+    return _validated(_rings(_as_unit_rows(V.reshape(-1, 3)).reshape(K, 3, 3), np.full(K, 3), c))
 
 
 def regular_triangle(side: float) -> SphericalPolygon:
@@ -649,11 +657,8 @@ def triangle_diameters(sides: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     turns by more than 3e-6, far above EPS_ANGLE, so all three are extreme and
     the vertex-vertex diameter is the extreme one.
     """
-    if len(sides) == 0:  # the kernels need a ring
-        return np.empty(0), np.empty(0)
-    R = _regular_triangles(sides)
-    G = _pair_angles(R.V)
-    return _boundary_diameters(R, G)[0], _farthest(G, R.n)[2]
+    value, *_, extreme = _diameters(_regular_triangles(sides))
+    return value, extreme
 
 
 def extreme_diameter_margin(P: SphericalPolygon) -> float:
@@ -771,17 +776,12 @@ def random_polygons(
         # cap samples are unit to a few ulps, well inside the EPS_UNIT / 2 that
         # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly;
         # each has dot at least cos(radius) > EPS_HEMI with its cap's center
-        R, errors = _hulls(_sample_caps(center, sag, u, az), count, center)
-        if R is None:
-            continue
-        hulled = todo[[k for k, e in enumerate(errors) if e is None]]
-        G = _pair_angles(R.V)
-        value, edge, wp, wq = _boundary_diameters(R, G)
+        R, fault = _hulls(_sample_caps(center, sag, u, az), count, center)
+        value, edge, wp, wq, ext = _diameters(R)  # every vertex of a hull is extreme
         hit = (diameter_range[0] < value) & (value < diameter_range[1])
-        done = hulled[hit]
+        done = todo[fault < 0][hit]
         diameter[done], vertex_edge[done], p[done], q[done] = value[hit], edge[hit], wp[hit], wq[hit]
-        # every vertex of a hull is extreme: its vertex-vertex diameter is the extreme one
-        extreme[done], vertices[done] = _farthest(G, R.n)[2][hit], R.n[hit]
+        extreme[done], vertices[done] = ext[hit], R.n[hit]
         for k, row in zip(done, np.flatnonzero(hit)):
             polygons[k] = (R, row)
         todo = np.setdiff1d(todo, done, assume_unique=True)  # without np.unique, which imports numpy.ma

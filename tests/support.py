@@ -6,11 +6,13 @@ hide inside its own oracle.  The exception is `dense_boundary_diameters`,
 the unfiltered enumeration the prefilters must match to the bit, which
 therefore runs the library's own formulas; so do
 `dense_min_sampled_distance`, the full grid behind the lune clearance
-window, and `scalar_quad_sides`, the one-pair embedding behind the stacked
-quadrilaterals.  `generator_draw` is one attempt's draws from numpy's own
-Generator, the reference whose bits and generator state the array sampler
-`pg._draw_attempts` must give, and `six_call_draw` that attempt as one
-generator call per draw.
+window, `scalar_quad_sides`, the one-pair embedding behind the stacked
+quadrilaterals, and `reference_ring_faults`, the cycle checks with the
+winding sum taken per ring length, whose decisions the one masked sum of
+`pg._ring_faults` must give.  `generator_draw` is one attempt's draws from
+numpy's own Generator, the reference whose bits and generator state the
+array sampler `pg._draw_attempts` must give, and `six_call_draw` that
+attempt as one generator call per draw.
 """
 
 import math
@@ -217,6 +219,34 @@ def cyclic(parts) -> tuple:
     n = np.array([len(a) for a in parts])
     off = np.cumsum(n) - n
     return np.concatenate(parts)[off[:, None] + np.arange(n.max()) % n[:, None]], n
+
+
+def ring_sums(A: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """np.sum of each A[k, :n[k]], by ring length: pairwise summation groups by length."""
+    out = np.empty(len(n))
+    for length in set(n.tolist()):
+        rows = n == length
+        out[rows] = A[rows, :length].sum(axis=1)
+    return out
+
+
+def reference_ring_faults(R: pg._Rings) -> np.ndarray:
+    """`pg._ring_faults` with turns and fan summed apart, each pairwise over
+    the ring alone (`ring_sums`): the decisions its one masked sum must give."""
+    Vc = pg._dots(R.V, R.c)
+    fan = 2.0 * np.arctan2(
+        np.sin(R.L) * pg._dots(R.N, R.c), 1.0 + Vc + pg._take(Vc, pg._shift(R.n, Vc.shape[1], 1)) + np.cos(R.L)
+    )
+    fails = np.stack(
+        [
+            Vc.min(axis=1) <= pg.EPS_HEMI,
+            np.any((R.L <= pg.EPS_ANTIPODE) | (R.L >= math.pi - pg.EPS_ANTIPODE), axis=1),
+            np.any(np.abs(R.t) >= math.pi - 1e-12, axis=1),
+            np.any(R.t < -1e-9, axis=1),
+            np.abs(ring_sums(R.t, R.n) + ring_sums(fan, R.n) - 2.0 * math.pi) > 1e-6,
+        ]
+    )
+    return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
 
 
 def stack_of(polys) -> pg._Rings:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from sphereconvex import (
     DegenerateHull,
@@ -36,7 +37,7 @@ from sphereconvex.campaign import CampaignConfig
 from sphereconvex.cli import main
 from sphereconvex.core import _as_unit_rows
 from strategies import rotations
-from support import bits, cyclic, dense_boundary_diameters, stack_of
+from support import bits, cyclic, dense_boundary_diameters, reference_ring_faults, stack_of
 
 
 def on_sphere(rot, polar, azimuth) -> np.ndarray:
@@ -156,21 +157,87 @@ def test_clouds_give_polygons_or_library_errors(cloud_list):
     if polys:
         check_polygons(polys)
     # the stacked hull kernel, on the clouds that have a chart center, gives
-    # each the hull or the error it gets alone
+    # each the hull, or the fault code of the error, it gets alone
     stacked = [k for k, want in enumerate(hulls) if isinstance(want, (SphericalPolygon, DegenerateHull))]
     if not stacked:
         return
     arrs = [_as_unit_rows(cloud_list[k]) for k in stacked]
-    R, errors = pg._hulls(*cyclic(arrs), np.array([pg._hemisphere_center(arr) for arr in arrs]))
+    centers = np.array([pg._hemisphere_center(arr) for arr in arrs])
+    R, fault = pg._hulls(*cyclic(arrs), centers)
+    alone = [pg._hulls(arr[None], np.array([len(arr)]), c[None])[1][0] for arr, c in zip(arrs, centers)]
+    assert fault.tolist() == alone
     row = 0
-    for k, err in zip(stacked, errors):
+    for k, code in zip(stacked, fault):
         want = hulls[k]
-        if isinstance(want, Exception):
-            assert (type(err), str(err)) == (type(want), str(want))
+        if isinstance(want, DegenerateHull):
+            assert str(want) == pg._HULL_FAULTS[code]
             continue
-        assert err is None
+        assert code == -1
         assert np.array_equal(bits(R.V[row, : R.n[row]]), bits(want._varr))
         row += 1
+    assert row == len(R.n)
+
+
+def cycle(rot, n, step, radius, squash, reverse, tilt, rng, size) -> tuple[np.ndarray, np.ndarray]:
+    """A vertex cycle and the center it is checked against.  The cycle runs
+    `step` at a time through n points of the chart circle of polar radius
+    `radius` about c (the standard c turned by rot), so it winds `step`
+    times where n and step are coprime and repeats vertices where they are
+    not.  The chart's second axis is scaled by squash, a sliver as squash
+    nears 0; reverse runs the cycle clockwise; each vertex is nudged by
+    `size` radians.  The center is c tilted by `tilt` radians."""
+    az = 0.3 + 2.0 * math.pi * step * np.arange(n) / n
+    x, y = math.tan(radius) * np.cos(az), squash * math.tan(radius) * np.sin(az)
+    V = nudged(rng, on_sphere(rot, np.arctan(np.hypot(x, y)), np.arctan2(y, x)), size)
+    return V[::-1] if reverse else V, on_sphere(rot, [tilt], [0.0])[0]
+
+
+@st.composite
+def cycles(draw):
+    return cycle(
+        draw(rotations()),
+        draw(st.integers(3, 12)),
+        draw(st.integers(1, 3)),
+        draw(st.floats(0.01, 1.5)),
+        draw(st.sampled_from([1.0, 0.3, 1e-6, 1e-12, 0.0])),
+        draw(st.booleans()),
+        draw(st.sampled_from([0.0, 0.5, 1.4])),
+        np.random.default_rng(draw(seeds)),
+        draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3])),
+    )
+
+
+def ring_faults_alone(V: np.ndarray, c: np.ndarray) -> int:
+    return int(pg._ring_faults(pg._rings(V[None], np.array([len(V)]), c[None]))[0])
+
+
+@pytest.mark.parametrize(
+    "n, step, squash, reverse, tilt, code",
+    [
+        (6, 1, 1.0, False, 0.0, -1),  # convex, counterclockwise
+        (6, 1, 1.0, False, 1.4, 0),  # tilted center: vertices beyond its horizon
+        (3, 3, 1.0, False, 0.0, 1),  # one point three times
+        (4, 2, 1.0, False, 0.0, 2),  # back and forth along a diameter
+        (3, 1, 0.0, False, 0.0, 2),  # points on one great circle: the ends reverse
+        (6, 1, 1.0, True, 0.0, 3),  # clockwise
+        (5, 2, 1.0, False, 0.0, 4),  # a pentagram winds twice
+    ],
+    ids=["polygon", "horizon", "repeat", "diameter", "great-circle", "clockwise", "twice-wound"],
+)
+def test_cycles_reach_every_fault(n, step, squash, reverse, tilt, code):
+    V, c = cycle(Rotation.identity(), n, step, 0.6, squash, reverse, tilt, np.random.default_rng(0), 0.0)
+    assert ring_faults_alone(V, c) == code
+
+
+@settings(max_examples=200)
+@given(st.lists(cycles(), min_size=1, max_size=4))
+def test_masked_winding_sum_decides_as_per_length_sums(stack):
+    # mixed lengths in one stack; each ring gets the reference's code and the code it gets alone
+    Vs, n = cyclic([V for V, _ in stack])
+    R = pg._rings(Vs, n, np.array([c for _, c in stack]))
+    faults = pg._ring_faults(R).tolist()
+    assert faults == reference_ring_faults(R).tolist()
+    assert faults == [ring_faults_alone(V, c) for V, c in stack]
 
 
 coordinates = st.one_of(

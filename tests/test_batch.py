@@ -107,6 +107,13 @@ def test_rows_independent_of_chunk_size(monkeypatch, scalar_rows, chunk):
     assert calls["_nearest_center"] == 0
 
 
+def test_streams_without_trials_give_empty_rows():
+    rows = campaign.trial_rows(SEED, [(STREAM_WIDE, 0), (STREAM_SMALL, 3), (STREAM_WIDE, 0)])
+    assert [r.shape for r in rows] == [(0, 3), (3, 3), (0, 3)]
+    assert np.array_equal(bits(rows[1]), bits([scalar_row(STREAM_SMALL, i) for i in range(3)]))
+    assert campaign.trial_rows(SEED, []) == []
+
+
 def cap_cloud(rng, count: int, radius: float) -> np.ndarray:
     center = rng.normal(size=3)
     center /= np.linalg.norm(center)
@@ -238,17 +245,20 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
         k: alone[k].hemisphere_center.v if isinstance(alone[k], SphericalPolygon) else pg._hemisphere_center(clouds[k])
         for k in stacked
     }
+    codes = {k: pg._hulls(clouds[k][None], np.array([len(clouds[k])]), centers[k][None])[1][0] for k in stacked}
+    assert sorted(set(codes.values())) == [-1, 0, 1]
     calls = counting(monkeypatch, "_rings", "_nearest_center")
     for order in (stacked, stacked[::-1]):
         P, n = cyclic([clouds[k] for k in order])
-        R, errors = pg._hulls(P, n, np.array([centers[k] for k in order]))
+        R, fault = pg._hulls(P, n, np.array([centers[k] for k in order]))
+        assert fault.tolist() == [codes[k] for k in order]
         row = 0
-        for k, err in zip(order, errors):
+        for k, code in zip(order, fault):
             want = alone[k]
-            if isinstance(want, Exception):
-                assert (type(err), str(err)) == (type(want), str(want))
+            if isinstance(want, DegenerateHull):
+                assert str(want) == pg._HULL_FAULTS[code]
                 continue
-            assert err is None
+            assert code == -1
             for got, ref in ((R.V, want._varr), (R.L, want._edge_lengths), (R.N, want._edge_normals), (R.t, want._turns)):
                 assert np.array_equal(bits(got[row, : R.n[row]]), bits(ref))
             assert np.array_equal(bits(R.c[row]), bits(want.hemisphere_center.v))
@@ -257,6 +267,21 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
     # the stacks took the rebuild rounds, and searched no center
     assert calls["_rings"] >= 4
     assert calls["_nearest_center"] == 0
+
+
+def test_collinear_stack_has_no_hulls():
+    # clouds on three great circles: no cloud has a hull, the stack is empty
+    # and the diameter step takes it as it is
+    arcs = [
+        np.array([[math.cos(a), math.sin(a), 0.0] for a in np.linspace(0.0, 1.0, 5)]),
+        np.array([[0.0, math.cos(a), math.sin(a)] for a in np.linspace(-0.5, 0.7, 3)]),
+        _as_unit_rows([[math.cos(a), 0.5 * math.sin(a), math.sin(a)] for a in np.linspace(0.2, 1.3, 8)]),
+    ]
+    P, n = cyclic(arcs)
+    R, fault = pg._hulls(P, n, np.array([pg._hemisphere_center(arc) for arc in arcs]))
+    assert fault.tolist() == [0, 0, 0]
+    assert [len(a) for a in R] == [0] * 6
+    assert [len(a) for a in pg._diameters(R)] == [0] * 5
 
 
 def test_tie_goes_to_first_pair_in_a_stack():

@@ -175,6 +175,13 @@ class TestPerpendicularDrop:
         assert abs(float(np.dot(drop.v, lune.side_b.circle.n))) <= 1e-15
         assert distance(lune.side_a.center, drop) >= lune.thickness - 1e-12
 
+    def test_far_pole_rejected(self):
+        # side_b's pole is 5e-11 off side_a's circle, so it passes the arc
+        # checks; its projection onto side_b's plane is exactly zero
+        lune = construct_lune(math.pi / 2 + 5e-11)
+        with pytest.raises(NotOnArc, match="pole"):
+            perpendicular_drop(lune, SpherePoint(-lune.side_b.circle.n))
+
     def test_off_circle_rejected(self):
         lune = construct_lune(2.0)
         with pytest.raises(NotOnArc):
