@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
 import threading
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -46,11 +47,12 @@ LUNE_SAMPLES = 200
 QUAD_GRID_STEPS = 20
 QUAD_GRID_RANGE = (0.05, math.pi / 2 - 0.05)
 
-# Monte Carlo trials per chunk the pool hands to a worker process, drawn
-# there as one batch.  Each round of a batch costs a few hundred numpy calls
-# whatever its size, so larger chunks pay that less often: on one core,
+# Monte Carlo trials per `_map` task, drawn as one batch by the worker that
+# claims it.  Each round of a batch costs a few hundred numpy calls whatever
+# its size, so larger chunks pay that less often: on one core,
 # `verify --trials 2000` took 1.3-1.5 times as long in chunks of 100, 1.1
-# times in chunks of 250, and about as long in chunks of 1000.
+# times in chunks of 250, and about as long in chunks of 1000.  A chunk of
+# 500 adds 4-6 MB to the peak memory of the process that runs it.
 TRIAL_CHUNK = 500
 
 # Stream tags for per-trial PCG64 substreams.
@@ -208,34 +210,115 @@ def _lune_rows(deltas: Sequence[float], samples: int) -> list[dict]:
     return [lune_checks(d, samples) for d in deltas]
 
 
-def _map(tasks: Sequence[tuple]) -> list:
-    """`_task` results of the tasks in input order, mapped one at a time over
-    forked workers, one per CPU in this process's affinity mask, or run here
-    in order with one CPU, without the fork start method, or where forking
-    is unsafe (a daemonic process, other running threads).  The first error
-    in input order cancels every task not yet started, and the workers end
-    once their running tasks do.  No worker is killed: `multiprocessing.Pool`
-    kills its workers on an error, and one killed while it holds the result
-    queue's lock blocks `Pool.terminate` for good.  A worker that dies raises
-    `BrokenProcessPool` here."""
-    import multiprocessing  # here, so that importing the package does not load it
+def _claim(fd: int, stop: int | None = None) -> int:
+    """The task index in the 8-byte counter of file fd, which this bumps by
+    one, or sets to `stop` when given, under a record lock.  The kernel
+    drops the lock of a process that dies, so no worker can leave it held."""
+    import fcntl  # here, so that importing the package does not load it
 
+    fcntl.lockf(fd, fcntl.LOCK_EX)
+    try:
+        index = int.from_bytes(os.pread(fd, 8, 0), "little")  # an empty file reads 0
+        os.pwrite(fd, (index + 1 if stop is None else stop).to_bytes(8, "little"), 0)
+    finally:
+        fcntl.lockf(fd, fcntl.LOCK_UN)
+    return index
+
+
+def _work(tasks: Sequence[tuple], fd: int) -> list[tuple]:
+    """(index, ok, result or error) of each task this process claims from
+    the counter in fd until none is left.  An error sets the counter to the
+    end, which cancels every task not yet claimed."""
+    done = []
+    while (i := _claim(fd)) < len(tasks):
+        try:
+            done.append((i, True, _task(tasks[i])))
+        except Exception as exc:
+            done.append((i, False, exc))
+            _claim(fd, len(tasks))
+    return done
+
+
+def _child(tasks: Sequence[tuple], fd: int, pipe: int) -> NoReturn:
+    """A forked worker: `_work`, then its list pickled into the pipe, then
+    `os._exit`, which runs no exit handler and flushes no stdio buffer
+    inherited from the caller.  A list that pickle cannot carry there and
+    back is replaced by a stand-in error at the worker's first failed task,
+    else its first task, and the worker exits with status 1."""
+    code = 1
+    try:
+        done = _work(tasks, fd)
+        try:
+            data = pickle.dumps(done)
+            pickle.loads(data)  # an error that pickles but cannot be rebuilt fails here, not in the caller
+            code = 0
+        except Exception as exc:
+            i, ok, value = min(done, key=lambda entry: (entry[1], entry[0]))
+            first = "" if ok else f"; its first error: {value!r}"
+            error = ChildProcessError(f"worker {os.getpid()} could not send back its results: {exc!r}{first}")
+            data = pickle.dumps([(i, False, error)])
+        with open(pipe, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(code)
+
+
+def _map(tasks: Sequence[tuple]) -> list:
+    """`_task` results of the tasks in input order.
+
+    With one CPU in this process's affinity mask, without `os.fork` and
+    `os.memfd_create`, or beside other running threads, where forking is
+    unsafe, the tasks run here in order.  Otherwise this process is worker
+    0 and forks one child per further CPU, up to one worker per task; each
+    worker claims the next task index from one counter in a memfd (`_claim`),
+    so the work balances as it runs.  A child sends its results back
+    through its own pipe when no task is left.  An error cancels every task
+    not yet claimed, the workers end once their running tasks do, and the
+    first error in input order is raised here, after every child is reaped;
+    since tasks are claimed in order, that error does not depend on which
+    worker ran what.  No worker is killed.  A child that ends without its
+    results, such as one that dies, raises `ChildProcessError` with its exit
+    status, negative for a signal.  An error from a child carries no
+    traceback of the child: run on one CPU for that.  A fork that fails
+    leaves fewer workers.
+    """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    can_fork = (
-        "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-        and threading.active_count() == 1
-    )
+    can_fork = hasattr(os, "fork") and hasattr(os, "memfd_create") and threading.active_count() == 1
     workers = min(cpus, len(tasks)) if can_fork else 1
     if workers < 2:
         return [_task(task) for task in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    fd = os.memfd_create("sphereconvex-tasks")
+    children, sent = [], []
     try:
-        return [future.result() for future in [pool.submit(_task, task) for task in tasks]]
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(tasks, fd, w)
+            os.close(w)
+            children.append((pid, r))
+        done = _work(tasks, fd)
     finally:
-        pool.shutdown(cancel_futures=True)
+        _claim(fd, len(tasks))  # cancels what is not yet claimed
+        os.close(fd)
+        for pid, r in children:
+            with open(r, "rb") as pipe:
+                sent.append((pid, pipe.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for pid, data, code in sent:
+        if code < 0 or not data:  # killed, or ended before it sent its results
+            raise ChildProcessError(f"worker {pid} ended with exit status {code} without its results")
+        done += pickle.loads(data)
+    results = [None] * len(tasks)
+    for i, ok, value in sorted(done, key=lambda entry: entry[0]):
+        if not ok:
+            raise value
+        results[i] = value
+    return results
 
 
 def _chunks(seed: int, counts: Sequence[tuple[int, int]]) -> list[tuple]:

@@ -512,9 +512,9 @@ def _pair_angles(V: np.ndarray) -> np.ndarray:
     U = vecmath.unit(V)
     D = np.matmul(U, U.transpose(0, 2, 1))
     ki, i, j = np.nonzero((D <= D.min(axis=(1, 2), keepdims=True) + 1e-12) & (np.arange(m)[:, None] < np.arange(m)))
-    G = np.full(D.shape, -np.inf)
-    G[ki, i, j] = vecmath.ang(V[ki, i], V[ki, j])
-    return G
+    D.fill(-np.inf)  # the cosines' array holds the angles
+    D[ki, i, j] = vecmath.ang(V[ki, i], V[ki, j])
+    return D
 
 
 def _farthest(G: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -557,10 +557,15 @@ def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # (b) vertex-edge: the point of each edge circle farthest from each
     # vertex, for the (ring, vertex, edge) pairs the side tests keep
     B = _take(V, _shift(R.n, m, 1))
-    S = np.matmul(V, N.transpose(0, 2, 1))
-    sides = np.matmul(V, np.concatenate([vecmath.cross(N, V), vecmath.cross(B, N)], axis=1).transpose(0, 2, 1)) <= 1e-9
-    ki, vi, ei = np.nonzero(sides[:, :, :m] & sides[:, :, m:] & valid[:, :, None] & valid[:, None, :])
-    W = V[ki, vi] - S[ki, vi, ei][:, None] * N[ki, ei]
+    # two (K, m, m) products, not one (K, m, 2m), to hold less at once; a
+    # product's bits may differ with its shape, which the docstring shows
+    # cannot move the result
+    sides = np.matmul(V, vecmath.cross(N, V).transpose(0, 2, 1)) <= 1e-9
+    sides &= np.matmul(V, vecmath.cross(B, N).transpose(0, 2, 1)) <= 1e-9
+    sides &= valid[:, :, None] & valid[:, None, :]
+    ki, vi, ei = np.nonzero(sides)
+    # the (K, m, m) product v.N is taken once the side tests are done with theirs
+    W = V[ki, vi] - np.matmul(V, N.transpose(0, 2, 1))[ki, vi, ei][:, None] * N[ki, ei]
     wn = vecmath.norm(W)
     far = -W / np.maximum(wn, 1e-300)[:, None]
     # kept where the vertex is not a pole of the edge circle and far, already
@@ -709,11 +714,11 @@ def _sample_caps(center: np.ndarray, sag: np.ndarray, u: np.ndarray, az: np.ndar
     e1, e2 = _chart_basis(center)
     z = 1.0 - u * sag[:, None]
     st = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return (
-        st[..., None] * np.cos(az)[..., None] * e1[:, None]
-        + st[..., None] * np.sin(az)[..., None] * e2[:, None]
-        + z[..., None] * center[:, None]
-    )
+    # one (K, m, 3) sum, added to in place in the order (a + b) + c
+    out = st[..., None] * np.cos(az)[..., None] * e1[:, None]
+    out += st[..., None] * np.sin(az)[..., None] * e2[:, None]
+    out += z[..., None] * center[:, None]
+    return out
 
 
 class RandomPolygons(NamedTuple):

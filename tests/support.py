@@ -12,15 +12,26 @@ winding sum taken per ring length, whose decisions the one masked sum of
 `pg._ring_faults` must give.  `generator_draw` is one attempt's draws from
 numpy's own Generator, the reference whose bits and generator state the
 array sampler `pg._draw_attempts` must give, and `six_call_draw` that
-attempt as one generator call per draw.
+attempt as one generator call per draw.  `no_child_left` checks that a
+test reaped every process it forked.
 """
 
 import math
+import os
 
 import numpy as np
 
 from sphereconvex import DomainError, SpherePoint, angle_at, distance
 from sphereconvex import lune as ln, polygon as pg
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def bits(a) -> np.ndarray:

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,105 @@ class TestRunVerify:
         parsed = json.loads(small_report.to_json())
         assert parsed["schema_version"] == 1
         assert parsed["config"]["seed"] == 7
+
+
+class RebuildError(Exception):
+    """Pickles, but cannot be rebuilt: pickle calls the class with its one message."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+
+
+def local_error(message):
+    class LocalError(Exception):  # pickle cannot name a class defined here
+        pass
+
+    return LocalError(message)
+
+
+class TestMap:
+    @pytest.fixture()
+    def plant(self, monkeypatch, tmp_path):
+        """plant(body) puts in a `_task` that appends its index to a log,
+        runs body(index) and returns (index, pid), and returns a function
+        that gives the sorted indices in the log."""
+        path = tmp_path / "log"
+        log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def plant(body=lambda i: None):
+            def task(t):
+                os.write(log, b"%d\n" % t[0])
+                body(t[0])
+                return t[0], os.getpid()
+
+            monkeypatch.setattr(campaign, "_task", task)
+            return lambda: sorted(map(int, path.read_text().split()))
+
+        yield plant
+        os.close(log)
+
+    def test_each_task_runs_once_in_input_order(self, monkeypatch, plant):
+        # more workers than this machine may have CPUs, all claiming at once
+        ran = plant()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        results = campaign._map([(i,) for i in range(2000)])
+        assert [i for i, _ in results] == list(range(2000))
+        assert ran() == list(range(2000))
+
+    def test_failure_at_zero_stops_claims(self, monkeypatch, plant):
+        def body(i):
+            if i == 0:
+                raise ValueError("task 0")
+            time.sleep(0.001)
+
+        ran = plant(body)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(ValueError, match="^task 0$"):
+            campaign._map([(i,) for i in range(2000)])
+        assert 0 < len(ran()) < 2000
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_first_error_in_input_order_raised(self, monkeypatch, plant, cpus):
+        # task 3 fails late, so with two or more workers task 5 fails first
+        def body(i):
+            if i == 3:
+                time.sleep(0.05)
+            if i in (3, 5):
+                raise ValueError(f"task {i}")
+
+        ran = plant(body)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(ValueError, match="^task 3$"):
+            campaign._map([(i,) for i in range(12)])
+        assert ran()[:4] == [0, 1, 2, 3]
+
+    def test_failed_fork_leaves_fewer_workers(self, monkeypatch, plant):
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        ran = plant()
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert campaign._map([(i,) for i in range(20)]) == [(i, os.getpid()) for i in range(20)]
+        assert ran() == list(range(20))
+
+    @pytest.mark.parametrize(
+        "error", [local_error, lambda message: RebuildError(message, 1)], ids=["unpicklable", "unrebuildable"]
+    )
+    def test_unpicklable_error_in_child_reaches_caller(self, monkeypatch, plant, in_child, error):
+        def body(i):
+            if i == 1:
+                raise error(f"task 1 in process {os.getpid()}")
+
+        plant(body)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child(lambda task: task == (1,))
+        with pytest.raises(ChildProcessError) as caught:
+            campaign._map([(i,) for i in range(3)])
+        message = str(caught.value)
+        assert re.match(r"worker \d+ could not send back its results: ", message)
+        assert int(message.split()[1]) != os.getpid()
+        assert re.search(r"; its first error: \w+Error\('task 1 in process \d+'\)$", message)
 
 
 class TestConfigValidation:

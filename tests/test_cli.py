@@ -1,12 +1,11 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -15,8 +14,14 @@ import sphereconvex
 from sphereconvex import DomainError, SamplingExhausted, SpherePoint, arc_point, GeodesicArc, campaign, cli
 from sphereconvex.campaign import LUNE_SAMPLES, CampaignConfig
 from sphereconvex.cli import _build_parser, _verify_config, main
+from support import no_child_left
 
 PHI_AT_TWO_PI_THIRD = 0.935929455661326
+
+
+def wide_chunk_of(index):
+    """`in_child` target: the trial task that holds wide trial `index`."""
+    return lambda task: task[0] == "trials" and task[2] == campaign.STREAM_WIDE and task[3] <= index < task[4]
 
 
 def run_cli(capsys, *argv):
@@ -289,12 +294,12 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("other_threads", [0, 1])
-    def test_trial_error_exit_two(self, capsys, monkeypatch, other_threads):
-        # The fork carries the planted fault into the pool's workers, and the
-        # message names the process that raised it.  Beside another thread
-        # forking is unsafe, so the trials run in this process.  The fault is
-        # planted on the batch sampler that `trial_chunk` calls, in the batch
-        # that holds wide trial TRIAL_CHUNK.
+    def test_trial_error_exit_two(self, capsys, monkeypatch, in_child, other_threads):
+        # The fork carries the planted fault into the workers, and the message
+        # names the process that raised it: a child, by the handshake of
+        # `in_child`.  Beside another thread forking is unsafe, so the trials
+        # run in this process.  The fault is planted on the batch sampler that
+        # `trial_chunk` calls, in the batch that holds wide trial TRIAL_CHUNK.
         real = campaign.random_polygons
         index = campaign.TRIAL_CHUNK
 
@@ -305,6 +310,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(campaign, "random_polygons", planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child(wide_chunk_of(index))
         stop = threading.Event()
         threads = [threading.Thread(target=stop.wait) for _ in range(other_threads)]
         for thread in threads:
@@ -320,42 +326,71 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith(f"error: planted at trial {campaign.TRIAL_CHUNK} in process ")
         assert (int(err.split()[-1]) == os.getpid()) == bool(other_threads)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.parametrize("name", ["lune_checks", "_quad_errors", "tightness_table"])
-    def test_grid_error_ends_pool(self, capsys, monkeypatch, name):
-        # The grid checks are tasks of the same pool as the trial chunks, so
+    def test_grid_error_ends_pool(self, capsys, monkeypatch, in_child, name):
+        # The grid checks are tasks of the same map as the trial chunks, so
         # the fork carries a fault planted on any of them into the workers;
-        # an error there ends the run and every worker.
+        # an error there, in a child by the handshake of `in_child`, ends the
+        # run and every worker.
         def planted(*args):
             raise DomainError(f"planted in {name} in process {os.getpid()}")
 
         monkeypatch.setattr(campaign, name, planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        kind = {"lune_checks": "lune", "_quad_errors": "quad", "tightness_table": "table"}[name]
+        in_child(lambda task: task[0] == kind)
         code, out, err = run_cli(capsys, "verify", "--trials", str(2 * campaign.TRIAL_CHUNK), "--delta-steps", "2")
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: planted in {name} in process ")
         assert int(err.split()[-1]) != os.getpid()
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def test_dead_worker_ends_run(self, monkeypatch):
-        # A worker that dies in the batch that holds wide trial TRIAL_CHUNK
-        # ends the run with an error instead of leaving it waiting for a
-        # result that never comes.  The fault fires only in a forked worker.
+    def test_memory_error_in_worker_exit_two(self, capsys, monkeypatch, in_child):
+        # A failed allocation in a child comes back like any other error.
         real = campaign.random_polygons
-        parent = os.getpid()
+        index = campaign.TRIAL_CHUNK
 
         def planted(seed, indices, *, stream, **ranges):
-            if stream == campaign.STREAM_WIDE and campaign.TRIAL_CHUNK in indices and os.getpid() != parent:
+            if stream == campaign.STREAM_WIDE and index in indices:
+                raise MemoryError(f"Unable to allocate in process {os.getpid()}")
+            return real(seed, indices, stream=stream, **ranges)
+
+        monkeypatch.setattr(campaign, "random_polygons", planted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        in_child(wide_chunk_of(index))
+        code, out, err = run_cli(capsys, "verify", "--trials", str(campaign.TRIAL_CHUNK + 1), "--delta-steps", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: out of memory: Unable to allocate in process ")
+        assert int(err.split()[-1]) != os.getpid()
+        assert no_child_left()
+
+    def test_dead_worker_ends_run(self, capsys, monkeypatch, in_child):
+        # A worker that dies in the batch that holds wide trial TRIAL_CHUNK,
+        # a child by the handshake of `in_child`, ends the run with an error
+        # line that names its exit status instead of leaving it waiting for
+        # results that never come.  `ChildProcessError` is an OSError, so the
+        # CLI ends as it does on any other system error.
+        real = campaign.random_polygons
+        parent = os.getpid()
+        index = campaign.TRIAL_CHUNK
+
+        def planted(seed, indices, *, stream, **ranges):
+            if stream == campaign.STREAM_WIDE and index in indices and os.getpid() != parent:
                 os._exit(3)
             return real(seed, indices, stream=stream, **ranges)
 
         monkeypatch.setattr(campaign, "random_polygons", planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(BrokenProcessPool):
-            main(["verify", "--trials", str(campaign.TRIAL_CHUNK + 1), "--delta-steps", "2"])
-        assert multiprocessing.active_children() == []
+        in_child(wide_chunk_of(index))
+        code, out, err = run_cli(capsys, "verify", "--trials", str(campaign.TRIAL_CHUNK + 1), "--delta-steps", "2")
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: worker \d+ ended with exit status 3 without its results\n", err)
+        assert no_child_left()
 
     def test_invalid_config_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
@@ -434,14 +469,19 @@ def test_verify_loads_no_scipy():
 
 
 def test_import_leaves_pool_and_lp_unloaded():
-    # `multiprocessing` loads when a campaign maps its trials, and the
-    # library has no use for `scipy.optimize`, so importing the package and
-    # its CLI pays for neither.
+    # `campaign._map` forks its workers itself, and the library has no use
+    # for `scipy.optimize`, so importing the package and its CLI pays for
+    # none of them, and a campaign mapped over two CPUs loads no process pool.
     src = os.path.dirname(os.path.dirname(sphereconvex.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, sphereconvex, sphereconvex.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'scipy.optimize') if m in sys.modules))"
+        "import os, sys, sphereconvex, sphereconvex.cli; "
+        "pools = ('multiprocessing', 'concurrent.futures'); "
+        "print(sorted(m for m in (*pools, 'scipy.optimize') if m in sys.modules)); "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from sphereconvex.campaign import CampaignConfig, run_verify; "
+        "assert run_verify(CampaignConfig(trials=50)).overall_pass; "
+        "print(sorted(m for m in pools if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -451,7 +491,7 @@ def test_import_leaves_pool_and_lp_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 # A wide lon/lat quadrilateral with a flat vertex written as [x, y, z] on
