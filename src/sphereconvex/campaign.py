@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import pickle
 import threading
@@ -90,9 +91,15 @@ class CampaignConfig:
     output_format: str = "text"
 
     def validate(self) -> None:
-        for name, value in (("seed", self.seed), ("trials", self.trials), ("delta grid steps", self.delta_grid.steps)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        grid = self.delta_grid
+        if not isinstance(grid, DeltaGrid):
+            raise ConfigError(f"delta grid must be a DeltaGrid, got {grid!r}")
+        integers = (("seed", self.seed), ("trials", self.trials), ("delta grid steps", grid.steps))
+        reals = (("tolerance", self.tolerance), ("delta grid lo", grid.lo), ("delta grid hi", grid.hi))
+        for kind, what, fields in ((int, "an integer", integers), (numbers.Real, "a real number", reals)):
+            for name, value in fields:
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
         if self.trials < 1:
@@ -101,10 +108,8 @@ class CampaignConfig:
             raise ConfigError(f"delta grid needs >= 2 steps, got {self.delta_grid.steps}")
         if not (math.pi / 2 < self.delta_grid.lo < self.delta_grid.hi < math.pi):
             raise ConfigError("delta grid must satisfy pi/2 < lo < hi < pi")
-        if not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
-        if not math.isfinite(self.tolerance):
-            raise ConfigError(f"tolerance must be finite, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.output_format not in ("text", "json", "csv"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
 

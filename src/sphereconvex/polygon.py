@@ -495,8 +495,8 @@ def extreme_points(P: SphericalPolygon) -> list[SpherePoint]:
     return [SpherePoint(v) for v in P._varr[P._extreme]]
 
 
-def _pair_angles(V: np.ndarray) -> np.ndarray:
-    """(K, m, m) angles between rows i < j of each ring of a padded stack.
+def _pair_angles(V: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """(K, m, m) angles between rows i < j < n of each ring of a padded stack.
 
     Only the pairs that may be farthest get their angle; every other entry
     is -inf, which no farthest pair has.  The cosines of the rows as unit
@@ -508,35 +508,34 @@ def _pair_angles(V: np.ndarray) -> np.ndarray:
     it neither is the farthest pair nor ties with it.  The padded rows are
     copies, so each ring's least cosine over the padded square is its own.
     """
-    m = V.shape[1]
+    r = np.arange(V.shape[1])
     U = vecmath.unit(V)
     D = np.matmul(U, U.transpose(0, 2, 1))
-    ki, i, j = np.nonzero((D <= D.min(axis=(1, 2), keepdims=True) + 1e-12) & (np.arange(m)[:, None] < np.arange(m)))
+    ki, i, j = np.nonzero((D <= D.min(axis=(1, 2), keepdims=True) + 1e-12) & (r[:, None] < r) & (r < n[:, None, None]))
     D.fill(-np.inf)  # the cosines' array holds the angles
     D[ki, i, j] = vecmath.ang(V[ki, i], V[ki, j])
     return D
 
 
-def _farthest(G: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per ring, the first pair i < j < n in row-major order at the largest
+def _farthest(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ring, the first pair i < j in row-major order at the largest
     angle of `_pair_angles`: rows i, rows j and the angle."""
     K, m = G.shape[:2]
-    k = np.where(np.arange(m) < n[:, None, None], G, -np.inf).reshape(K, m * m).argmax(axis=1)
-    i, j = np.divmod(k, m)
+    i, j = np.divmod(G.reshape(K, m * m).argmax(axis=1), m)
     return i, j, G[np.arange(K), i, j]
 
 
 def extreme_diameter(P: SphericalPolygon) -> float:
     """Largest pairwise distance between extreme points."""
     V = P._varr[P._extreme][None]
-    return float(_farthest(_pair_angles(V), np.array([V.shape[1]]))[2][0])
+    return float(_farthest(_pair_angles(V, np.array([V.shape[1]])))[2][0])
 
 
-def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _boundary_diameters(R: _Rings) -> tuple[np.ndarray, ...]:
     """Farthest pair of boundary points of each ring; see `boundary_diameter`.
 
-    Returns the (K,) diameters, whether each is attained vertex-edge, and the
-    (K, 3) witness points p and q.
+    Returns the (K,) diameters, whether each is attained vertex-edge, the
+    (K, 3) witness points p and q, and the vertex-vertex diameters.
 
     Only the (vertex v, edge AB) pairs that pass the side tests,
     v.(N x A) <= 1e-9 and v.(B x N) <= 1e-9, get a far point.  Rows of V are
@@ -552,7 +551,8 @@ def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarra
     V, L, N = R.V, R.L, R.N
     K, m = L.shape
     valid = np.arange(m) < R.n[:, None]
-    i, j, value = _farthest(G, R.n)  # (a) vertex-vertex
+    i, j, value = _farthest(_pair_angles(V, R.n))  # (a) vertex-vertex
+    vertex = value.copy()  # the extreme diameters where every vertex is extreme
 
     # (b) vertex-edge: the point of each edge circle farthest from each
     # vertex, for the (ring, vertex, edge) pairs the side tests keep
@@ -585,13 +585,7 @@ def _boundary_diameters(R: _Rings, G: np.ndarray) -> tuple[np.ndarray, np.ndarra
     kk = np.arange(K)
     p, q = V[kk, i], V[kk, j]
     p[rings], q[rings], value[rings] = V[rings, vi[first]], far[first], dist[first]
-    return value, edge, p, q
-
-
-def _diameters(R: _Rings) -> tuple[np.ndarray, ...]:
-    """`_boundary_diameters` of a stack whose every vertex is extreme, and its vertex-vertex (extreme) diameters."""
-    G = _pair_angles(R.V)
-    return (*_boundary_diameters(R, G), _farthest(G, R.n)[2])
+    return value, edge, p, q, vertex
 
 
 def _witness(value, edge, p, q) -> DiameterWitness:
@@ -623,8 +617,7 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     where the on-arc check drops it anyway.  The rest get the full
     enumeration's formulas, so the result is the same to the bit.
     """
-    R = P._as_stack()
-    return _witness(*(a[0] for a in _boundary_diameters(R, _pair_angles(R.V))))
+    return _witness(*(a[0] for a in _boundary_diameters(P._as_stack())[:4]))
 
 
 def _regular_triangles(sides: Sequence[float]) -> _Rings:
@@ -662,7 +655,7 @@ def triangle_diameters(sides: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     turns by more than 3e-6, far above EPS_ANGLE, so all three are extreme and
     the vertex-vertex diameter is the extreme one.
     """
-    value, *_, extreme = _diameters(_regular_triangles(sides))
+    value, *_, extreme = _boundary_diameters(_regular_triangles(sides))
     return value, extreme
 
 
@@ -782,7 +775,7 @@ def random_polygons(
         # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly;
         # each has dot at least cos(radius) > EPS_HEMI with its cap's center
         R, fault = _hulls(_sample_caps(center, sag, u, az), count, center)
-        value, edge, wp, wq, ext = _diameters(R)  # every vertex of a hull is extreme
+        value, edge, wp, wq, ext = _boundary_diameters(R)  # every vertex of a hull is extreme
         hit = (diameter_range[0] < value) & (value < diameter_range[1])
         done = todo[fault < 0][hit]
         diameter[done], vertex_edge[done], p[done], q[done] = value[hit], edge[hit], wp[hit], wq[hit]

@@ -136,10 +136,9 @@ def check_polygons(polys) -> None:
         if math.pi / 2 < w.value < math.pi:
             assert extreme_diameter_margin(P) >= -CampaignConfig.tolerance
     R = stack_of(polys)
-    G = pg._pair_angles(R.V)
-    got_vv, got = pg._farthest(G, R.n), pg._boundary_diameters(R, G)
+    got_vv, (*got, vertex) = pg._farthest(pg._pair_angles(R.V, R.n)), pg._boundary_diameters(R)
     want_vv, want = dense_boundary_diameters(R)
-    for a, b in zip((*got_vv, *got), (*want_vv, *want)):
+    for a, b in zip((*got_vv, *got, vertex), (*want_vv, *want, want_vv[2])):
         assert np.array_equal(bits(a) if a.dtype == float else a, bits(b) if b.dtype == float else b)
     value, edge, p, q = got
     for k, w in enumerate(witnesses):

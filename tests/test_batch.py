@@ -281,7 +281,7 @@ def test_collinear_stack_has_no_hulls():
     R, fault = pg._hulls(P, n, np.array([pg._hemisphere_center(arc) for arc in arcs]))
     assert fault.tolist() == [0, 0, 0]
     assert [len(a) for a in R] == [0] * 6
-    assert [len(a) for a in pg._diameters(R)] == [0] * 5
+    assert [len(a) for a in pg._boundary_diameters(R)] == [0] * 5
 
 
 def test_tie_goes_to_first_pair_in_a_stack():
@@ -294,9 +294,7 @@ def test_tie_goes_to_first_pair_in_a_stack():
     for polys in ([square, *others], [*others, square], [others[0], square, *others[1:]]):
         Vs, n = cyclic([P._varr for P in polys])
         R = pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
-        pairs = pg._pair_angles(R.V)
-        value, edge, p, q = pg._boundary_diameters(R, pairs)
-        ext = pg._farthest(pairs, n)[2]
+        value, edge, p, q, ext = pg._boundary_diameters(R)
         for k, P in enumerate(polys):
             w = boundary_diameter(P)
             assert bits(value[k]) == bits(w.value)
@@ -362,9 +360,9 @@ def trial_stacks(stream: int):
         seen = []
         real = pg._boundary_diameters
 
-        def record(R, G):
+        def record(R):
             seen.append(R)
-            return real(R, G)
+            return real(R)
 
         monkeypatch.setattr(pg, "_boundary_diameters", record)
         pg.random_polygons(SEED, range(100), stream=stream, **STREAM_RANGES[stream])
@@ -417,10 +415,9 @@ def test_prefilters_match_dense_enumeration(monkeypatch, make, vertex_edge):
     monkeypatch.undo()
     edges = 0
     for R in stacks:
-        G = pg._pair_angles(R.V)
-        got_vv, got = pg._farthest(G, R.n), pg._boundary_diameters(R, G)
+        got_vv, (*got, vertex) = pg._farthest(pg._pair_angles(R.V, R.n)), pg._boundary_diameters(R)
         want_vv, want = dense_boundary_diameters(R)
-        for a, b in zip((*got_vv, *got), (*want_vv, *want)):
+        for a, b in zip((*got_vv, *got, vertex), (*want_vv, *want, want_vv[2])):
             assert np.array_equal(bits(a) if a.dtype == float else a, bits(b) if b.dtype == float else b)
         edges += int(got[1].sum())
     assert (edges > 0) == vertex_edge  # whether the vertex-edge class won in some ring

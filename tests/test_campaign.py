@@ -110,6 +110,16 @@ class TestRunVerify:
             assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
             assert list(got["worst_case_payload"]) == list(want["worst_case_payload"])
 
+    def test_matches_benchmark_reference(self):
+        # The benchmark's configuration, checked as its gate checks each run:
+        # every stored check by name on these five fields; later checks are allowed.
+        reference = json.loads((Path(__file__).parents[1] / "perfbench" / "verify_reference.json").read_text())
+        report = run_verify(CampaignConfig(seed=reference["seed"], trials=reference["trials"]))
+        by_name = {c["name"]: c for c in report.to_dict()["checks"]}
+        keys = ("name", "instances", "min_margin", "worst_case_payload", "pass")
+        for want in reference["report"]["checks"]:
+            assert {k: by_name[want["name"]][k] for k in keys} == {k: want[k] for k in keys}
+
     def test_impossible_tolerance_fails_honestly(self):
         report = run_verify(
             CampaignConfig(seed=7, trials=5, delta_grid=DeltaGrid(steps=4), tolerance=1e-30)
@@ -284,6 +294,10 @@ class TestConfigValidation:
             {"seed": True},
             {"seed": 7.0},
             {"delta_grid": DeltaGrid(steps=2.5)},
+            {"tolerance": "1e-9"},
+            {"tolerance": None},
+            {"delta_grid": DeltaGrid(lo="2")},
+            {"delta_grid": None},
         ],
     )
     def test_rejected(self, kwargs):

@@ -98,6 +98,10 @@ class TestSpherePoint:
         with pytest.raises(DomainError):
             make()
 
+    @given(unit_points())
+    def test_repr_evaluates_to_the_same_bits(self, p):
+        assert eval(repr(p), {"SpherePoint": SpherePoint}).v.tobytes() == p.v.tobytes()
+
     def test_vector_is_read_only(self):
         p = SpherePoint((0.0, 0.0, 1.0))
         with pytest.raises(ValueError):

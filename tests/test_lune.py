@@ -88,8 +88,18 @@ class TestConstructLune:
 
     def test_invalid_lune_rejected(self):
         lune = construct_lune(2.0)
-        with pytest.raises(DomainError):
-            Lune(side_a=lune.side_a, side_b=lune.side_a, corners=lune.corners)
+        # side_a's centre turned 0.2 rad along its circle, toward the first corner
+        turned = SpherePoint(math.cos(0.2) * lune.side_a.center.v + math.sin(0.2) * lune.corners[0].v)
+        cases = [
+            ({"side_b": lune.side_a}, "bounding circles coincide"),
+            ({"corners": (lune.corners[0], lune.corners[0])}, "corners must be antipodal"),
+            ({"corners": (SpherePoint((1, 0, 0)), lune.corners[1])}, "does not lie on both bounding circles"),
+            ({"side_a": Semicircle(lune.side_a.circle, turned)}, "not an endpoint of a bounding semicircle"),
+        ]
+        fields = {"side_a": lune.side_a, "side_b": lune.side_b, "corners": lune.corners}
+        for change, message in cases:
+            with pytest.raises(DomainError, match=message):
+                Lune(**{**fields, **change})
 
 
 class TestEquilateralPoints:

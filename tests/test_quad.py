@@ -161,6 +161,11 @@ class TestSolveQuad:
         with pytest.raises(DomainError):
             QuadSolution(kappa=0.5, lam=0.6, mu=2.0, nu=0.5, xi=0.7)
 
+    def test_diagonal_range_validated(self):
+        # the diagonal may reach past pi/2, but not past pi
+        with pytest.raises(DomainError, match="xi=4.0 outside"):
+            QuadSolution(0.3, 0.4, 0.5, 0.6, 4.0)
+
 
 class TestConstructQuad:
     def test_right_angles(self):

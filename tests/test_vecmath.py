@@ -82,3 +82,12 @@ def test_blas_dot_matches_one_dimensional_numpy():
     u, w = vectors(rng, (4, 7, 3)), np.asfortranarray(vectors(rng, (7, 3)))
     want = np.array([[np.dot(a, b) for a, b in zip(row, w)] for row in u])
     assert vecmath.blas_dot(u, w).tobytes() == want.tobytes()
+
+
+def test_slerp_of_equal_endpoints_is_copies_of_a():
+    a = np.array([0.6, 0.0, 0.8])
+    out = vecmath.slerp(a, a.copy(), [0.0, 0.25, 1.0])
+    assert out.shape == (3, 3) and out.flags.writeable
+    assert out.tobytes() == np.tile(a, (3, 1)).tobytes()
+    out[0, 0] = 1.0  # each row is its own copy, not a view of a
+    assert a[0] == 0.6 and out[1, 0] == 0.6
