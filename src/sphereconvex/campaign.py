@@ -10,7 +10,8 @@ check's per-case margins into its result; ties go to the first case in scan
 order.
 
 Reports are deterministic for a given configuration: random trials draw from
-PCG64 streams keyed by (seed, stream, trial index), so any worst case can be
+PCG64 streams keyed by (seed, stream, trial index), each stream with the
+sampling ranges `polygon.STREAMS` gives it, so any worst case can be
 regenerated from the payload alone, by `replay(seed, stream, index)`.
 """
 
@@ -28,9 +29,11 @@ from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
-from .lune import lune_checks
+from .errors import ConfigError, DomainError
+from .lune import construct_lune, lune_checks
 from .polygon import (
+    STREAM_SMALL,
+    STREAM_WIDE,
     SphericalPolygon,
     DiameterWitness,
     extreme_diameter,
@@ -55,16 +58,6 @@ QUAD_GRID_RANGE = (0.05, math.pi / 2 - 0.05)
 # times in chunks of 250, and about as long in chunks of 1000.  A chunk of
 # 500 adds 4-6 MB to the peak memory of the process that runs it.
 TRIAL_CHUNK = 500
-
-# Stream tags for per-trial PCG64 substreams.
-STREAM_WIDE = 0  # diameter in (pi/2, pi)
-STREAM_SMALL = 1  # diameter at most pi/2
-
-# `random_polygon` ranges of each stream, beyond its defaults.
-STREAM_RANGES = {
-    STREAM_WIDE: {},
-    STREAM_SMALL: {"cap_radius_range": (0.05, math.pi / 4 - 0.01), "diameter_range": (1e-6, math.pi / 2)},
-}
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,11 @@ class CampaignConfig:
             raise ConfigError(f"delta grid needs >= 2 steps, got {self.delta_grid.steps}")
         if not (math.pi / 2 < self.delta_grid.lo < self.delta_grid.hi < math.pi):
             raise ConfigError("delta grid must satisfy pi/2 < lo < hi < pi")
+        for name, delta in (("lo", grid.lo), ("hi", grid.hi)):
+            try:
+                construct_lune(delta)  # whose domain is narrower than (0, pi)
+            except DomainError as exc:
+                raise ConfigError(f"delta grid {name}={delta!r} has no lune: {exc}") from exc
         if not 0 < self.tolerance < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.output_format not in ("text", "json", "csv"):
@@ -185,10 +183,9 @@ class CampaignReport:
 def replay(seed: int, stream: int, index: int) -> tuple[SphericalPolygon, DiameterWitness, float]:
     """Regenerate trial `index` of a Monte Carlo stream: its polygon, the
     witness of its boundary diameter, and its extreme diameter, as
-    `trial_chunk` gets them."""
-    if stream not in STREAM_RANGES:
-        raise ConfigError(f"unknown trial stream {stream!r}, expected one of {sorted(STREAM_RANGES)}")
-    P, w = random_polygon(seed, index, stream=stream, **STREAM_RANGES[stream])
+    `trial_chunk` gets them.  A stream outside `polygon.STREAMS` raises
+    DomainError, as a negative key does."""
+    P, w = random_polygon(seed, index, stream=stream)
     return P, w, extreme_diameter(P)
 
 
@@ -197,8 +194,7 @@ def trial_chunk(seed: int, stream: int, start: int, stop: int) -> np.ndarray:
     count) of trials start, ..., stop - 1 of one stream, drawn as one
     `random_polygons` batch, each with the bits `replay` gives its trial.
     Only numbers are kept, so no polygon outlives its chunk."""
-    T = random_polygons(seed, range(start, stop), stream=stream, **STREAM_RANGES[stream])
-    return np.stack([T.diameter, T.extreme, T.vertices], axis=1)
+    return random_polygons(seed, range(start, stop), stream=stream)[0]
 
 
 def _task(task: tuple):

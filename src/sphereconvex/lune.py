@@ -32,6 +32,11 @@ from .core import (
 from .errors import DomainError, NotOnArc
 from .quad import phi
 
+# Least norm of the cross product of a lune's two circle normals, the sine of
+# the angle between its circles: nearer coincident or opposite circles are
+# no lune.
+EPS_LUNE = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class Lune:
@@ -49,7 +54,7 @@ class Lune:
 
     def __post_init__(self):
         cross = vecmath.cross(self.side_a.circle.n, self.side_b.circle.n)
-        if float(np.linalg.norm(cross)) < 1e-9:
+        if float(np.linalg.norm(cross)) < EPS_LUNE:
             raise DomainError("bounding circles coincide or are opposite; not a lune")
         for corner in self.corners:
             for side in (self.side_a, self.side_b):
@@ -66,13 +71,16 @@ class Lune:
 
 
 def construct_lune(delta: float) -> Lune:
-    """Canonical lune of thickness delta in (0, pi).
+    """Canonical lune of thickness delta, for 0 < delta < pi with
+    sin(delta) >= EPS_LUNE: its circle normals have a cross product of norm
+    sin(delta), which `Lune` needs at least EPS_LUNE, so no thickness within
+    about 1e-9 of 0 or pi has a lune.
 
     Pose: corners on the y-axis, semicircle centers on the x-z great circle
     separated by delta and symmetric about (1, 0, 0).
     """
-    if not 0.0 < delta < math.pi:
-        raise DomainError(f"thickness delta={delta} outside the open interval (0, pi)")
+    if not (0.0 < delta < math.pi and math.sin(delta) >= EPS_LUNE):
+        raise DomainError(f"thickness delta={delta} outside the lune domain 0 < delta < pi, sin(delta) >= {EPS_LUNE}")
     half = delta / 2.0
     center_a = SpherePoint((math.cos(half), 0.0, math.sin(half)))
     center_b = SpherePoint((math.cos(half), 0.0, -math.sin(half)))

@@ -26,7 +26,10 @@ indexes _FAULTS for each ring and `_hulls` _HULL_FAULTS for each cloud, and
 only the scalar functions raise.  The random draws are arrays too:
 `streams.Streams` draws a round's attempts for all its trials at once, each
 with the bits of the trial's own numpy Generator, and the planar hulls are
-taken on the padded stack.  Hulls are charted at a center the caller gives:
+taken on the padded stack.  A random polygon is trial (seed, stream, index)
+of a stream of STREAMS, which holds the ranges each stream samples, so the
+key alone picks the polygon; `random_polygons` returns the rows `verify`
+reads beside the polygons.  Hulls are charted at a center the caller gives:
 a random polygon at its sampling cap's center, and other point sets at the
 center `_hemisphere_center` searches: their normalized vector sum or, where
 some point has a dot of at most EPS_HEMI with it, the center of largest
@@ -83,6 +86,16 @@ _NEAREST_CYCLES = 100
 NUM_POINTS_RANGE = (5, 50)
 # Attempts each random polygon draws before it raises SamplingExhausted.
 MAX_ATTEMPTS = 1000
+
+# Trial streams: the key of each family of random polygons and the
+# (cap_radius_range, diameter_range) it samples.  The cap center charts each
+# hull, so every cap radius range lies in (0, pi/2) with cos(hi) > EPS_HEMI.
+STREAM_WIDE = 0  # boundary diameter in (pi/2, pi), where the bound applies
+STREAM_SMALL = 1  # boundary diameter at most pi/2, where the two diameters agree
+STREAMS = {
+    STREAM_WIDE: ((math.pi / 4 + 0.05, math.pi / 2 - 0.05), (math.pi / 2 + 1e-4, math.pi - 1e-4)),
+    STREAM_SMALL: ((0.05, math.pi / 4 - 0.01), (1e-6, math.pi / 2)),
+}
 
 VERTEX_VERTEX = "vertex-vertex"
 VERTEX_EDGE = "vertex-edge"
@@ -588,12 +601,6 @@ def _boundary_diameters(R: _Rings) -> tuple[np.ndarray, ...]:
     return value, edge, p, q, vertex
 
 
-def _witness(value, edge, p, q) -> DiameterWitness:
-    return DiameterWitness(
-        p=SpherePoint(p), q=SpherePoint(q), value=float(value), attainment=VERTEX_EDGE if edge else VERTEX_VERTEX
-    )
-
-
 def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     """Farthest pair of boundary points, by exact candidate enumeration.
 
@@ -617,7 +624,8 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     where the on-arc check drops it anyway.  The rest get the full
     enumeration's formulas, so the result is the same to the bit.
     """
-    return _witness(*(a[0] for a in _boundary_diameters(P._as_stack())[:4]))
+    value, edge, p, q, _ = (a[0] for a in _boundary_diameters(P._as_stack()))
+    return DiameterWitness(SpherePoint(p), SpherePoint(q), float(value), VERTEX_EDGE if edge else VERTEX_VERTEX)
 
 
 def _regular_triangles(sides: Sequence[float]) -> _Rings:
@@ -714,59 +722,34 @@ def _sample_caps(center: np.ndarray, sag: np.ndarray, u: np.ndarray, az: np.ndar
     return out
 
 
-class RandomPolygons(NamedTuple):
-    """Trials of one stream drawn together by `random_polygons`, in index order.
-
-    For each trial: the boundary diameter, whether it is attained
-    vertex-edge, its witness points p and q as (K, 3) arrays, the extreme
-    diameter, the hull vertex count, and the polygon as a (stack, row) pair
-    that `SphericalPolygon._of` turns into a value.
-    """
-
-    diameter: np.ndarray
-    vertex_edge: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    extreme: np.ndarray
-    vertices: np.ndarray
-    polygons: list
-
-
-def random_polygons(
-    seed: int,
-    indices: Sequence[int],
-    *,
-    stream: int = 0,
-    cap_radius_range: tuple[float, float] = (math.pi / 4 + 0.05, math.pi / 2 - 0.05),
-    diameter_range: tuple[float, float] = (math.pi / 2 + 1e-4, math.pi - 1e-4),
-) -> RandomPolygons:
+def random_polygons(seed: int, indices: Sequence[int], *, stream: int = STREAM_WIDE) -> tuple[np.ndarray, list]:
     """Trials `indices` of one stream of `random_polygon`, advanced in lockstep.
 
     Each round, every trial not yet accepted draws one attempt from its own
     generator, a row of one `streams.Streams` for all the trials; the
     attempts' cap samples, hulls and diameters are computed as one stack.
     A trial is accepted on the first attempt whose hull exists and whose
-    boundary diameter falls inside diameter_range, so its result is the one
-    it gets alone, whatever the other trials are.  Each hull is charted at
-    its cap's center, the polygon's hemisphere_center, so a cap_radius_range
-    that reaches the horizon raises DomainError, as does a seed, stream or
-    index that is not a non-negative integer.
+    boundary diameter falls inside its stream's diameter range, so its result
+    is the one it gets alone, whatever the other trials are.  A seed or index
+    that is not a non-negative integer, or a stream that is not a key of
+    STREAMS, raises DomainError before any draw.
+
+    Returns, in index order, the (K, 3) rows (boundary diameter, extreme
+    diameter, hull vertex count) of the trials, every vertex of a hull being
+    extreme, and their polygons as (stack, row) pairs that
+    `SphericalPolygon._of` turns into values.
     """
     indices = list(indices)
     for name, key in (("seed", seed), ("stream", stream), *(("index", i) for i in indices)):
         if isinstance(key, bool) or not isinstance(key, (int, np.integer)) or key < 0:
             raise DomainError(f"{name}={key!r} must be a non-negative integer")
-    lo, hi = cap_radius_range
-    if not (0.0 < lo <= hi < math.pi / 2 and math.cos(hi) > EPS_HEMI):
-        raise DomainError(f"cap_radius_range={cap_radius_range} needs 0 < lo <= hi < pi/2 and cos(hi) > EPS_HEMI")
+    if stream not in STREAMS:
+        raise DomainError(f"stream={stream!r} is not a trial stream, expected one of {sorted(STREAMS)}")
+    cap_radius_range, (lo, hi) = STREAMS[stream]
     streams = Streams(seed, stream, indices)
-    K = len(indices)
-    diameter, extreme = np.empty(K), np.empty(K)
-    vertex_edge = np.zeros(K, dtype=bool)
-    p, q = np.empty((K, 3)), np.empty((K, 3))
-    vertices = np.zeros(K, dtype=int)
-    polygons = [None] * K
-    todo = np.arange(K)
+    rows = np.empty((len(indices), 3))
+    polygons = [None] * len(indices)
+    todo = np.arange(len(indices))
     for _ in range(MAX_ATTEMPTS):
         if not todo.size:
             break
@@ -775,31 +758,32 @@ def random_polygons(
         # `_as_unit_rows` keeps as it is, so they go to the hull kernel directly;
         # each has dot at least cos(radius) > EPS_HEMI with its cap's center
         R, fault = _hulls(_sample_caps(center, sag, u, az), count, center)
-        value, edge, wp, wq, ext = _boundary_diameters(R)  # every vertex of a hull is extreme
-        hit = (diameter_range[0] < value) & (value < diameter_range[1])
+        value, *_, extreme = _boundary_diameters(R)
+        hit = (lo < value) & (value < hi)
         done = todo[fault < 0][hit]
-        diameter[done], vertex_edge[done], p[done], q[done] = value[hit], edge[hit], wp[hit], wq[hit]
-        extreme[done], vertices[done] = ext[hit], R.n[hit]
+        rows[done] = np.stack([value[hit], extreme[hit], R.n[hit]], axis=1)
         for k, row in zip(done, np.flatnonzero(hit)):
             polygons[k] = (R, row)
         todo = np.setdiff1d(todo, done, assume_unique=True)  # without np.unique, which imports numpy.ma
     if todo.size:
-        raise SamplingExhausted(f"no polygon with diameter in {diameter_range} after {MAX_ATTEMPTS} attempts")
-    return RandomPolygons(diameter, vertex_edge, p, q, extreme, vertices, polygons)
+        raise SamplingExhausted(f"no polygon with diameter in {(lo, hi)} after {MAX_ATTEMPTS} attempts")
+    return rows, polygons
 
 
-def random_polygon(seed: int, index: int, *, stream: int = 0, **ranges) -> tuple[SphericalPolygon, DiameterWitness]:
-    """Seeded random convex polygon with boundary diameter in a target range.
+def random_polygon(seed: int, index: int, *, stream: int = STREAM_WIDE) -> tuple[SphericalPolygon, DiameterWitness]:
+    """Seeded random convex polygon of a trial stream, with its boundary diameter.
 
-    Draws a cap center uniformly on the sphere, a cap radius uniformly from
+    With the stream's (cap_radius_range, diameter_range) from STREAMS: draws
+    a cap center uniformly on the sphere, a cap radius uniformly from
     cap_radius_range, and N points uniformly in the cap, N uniform in
     NUM_POINTS_RANGE; then keeps the hull if its boundary diameter falls
     inside diameter_range (redrawing otherwise, up to MAX_ATTEMPTS times).
     The polygon's hemisphere_center is the cap center.  The generator is
     PCG64 keyed by SeedSequence([seed, stream, index]), so trial `index` of a
-    stream is reproducible in isolation and across machines; `stream`
-    separates independent trial families sharing one seed.  This is
-    `random_polygons` for one trial, with its keyword ranges.
+    stream is reproducible in isolation and across machines.  This is
+    `random_polygons` for one trial, and the witness is `boundary_diameter`
+    of its polygon.
     """
-    T = random_polygons(seed, [index], stream=stream, **ranges)
-    return SphericalPolygon._of(*T.polygons[0]), _witness(T.diameter[0], T.vertex_edge[0], T.p[0], T.q[0])
+    _, polygons = random_polygons(seed, [index], stream=stream)
+    P = SphericalPolygon._of(*polygons[0])
+    return P, boundary_diameter(P)

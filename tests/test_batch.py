@@ -29,7 +29,7 @@ from sphereconvex import (
     regular_triangle,
 )
 from sphereconvex import polygon as pg
-from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
+from sphereconvex.campaign import STREAM_SMALL, STREAM_WIDE
 from sphereconvex.core import _as_unit_rows
 from support import bits, cyclic, dense_boundary_diameters, stack_of
 
@@ -365,7 +365,7 @@ def trial_stacks(stream: int):
             return real(R)
 
         monkeypatch.setattr(pg, "_boundary_diameters", record)
-        pg.random_polygons(SEED, range(100), stream=stream, **STREAM_RANGES[stream])
+        pg.random_polygons(SEED, range(100), stream=stream)
         return seen
 
     return stacks

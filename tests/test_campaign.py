@@ -298,6 +298,7 @@ class TestConfigValidation:
             {"tolerance": None},
             {"delta_grid": DeltaGrid(lo="2")},
             {"delta_grid": None},
+            {"delta_grid": DeltaGrid(lo=2.0, hi=3.1415926535, steps=5)},  # no lune within 1e-9 of pi
         ],
     )
     def test_rejected(self, kwargs):

@@ -126,6 +126,13 @@ class TestLuneCommand:
         assert code == 2
         assert "outside the open interval" in err
 
+    def test_thickness_without_lune_rejected(self, capsys):
+        # within 1e-9 of pi the bounding circles are one circle to rounding
+        code, out, err = run_cli(capsys, "lune", "--delta", "3.14159265358979")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: thickness delta=3.14159265358979 outside the lune domain ")
+
     def test_out_of_memory_exit_two(self, capsys, monkeypatch):
         # A sample count too large to allocate; the fault stands in for the
         # allocation, which is never attempted.
@@ -303,10 +310,10 @@ class TestVerifyCommand:
         real = campaign.random_polygons
         index = campaign.TRIAL_CHUNK
 
-        def planted(seed, indices, *, stream, **ranges):
+        def planted(seed, indices, *, stream):
             if stream == campaign.STREAM_WIDE and index in indices:
                 raise SamplingExhausted(f"planted at trial {index} in process {os.getpid()}")
-            return real(seed, indices, stream=stream, **ranges)
+            return real(seed, indices, stream=stream)
 
         monkeypatch.setattr(campaign, "random_polygons", planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -353,10 +360,10 @@ class TestVerifyCommand:
         real = campaign.random_polygons
         index = campaign.TRIAL_CHUNK
 
-        def planted(seed, indices, *, stream, **ranges):
+        def planted(seed, indices, *, stream):
             if stream == campaign.STREAM_WIDE and index in indices:
                 raise MemoryError(f"Unable to allocate in process {os.getpid()}")
-            return real(seed, indices, stream=stream, **ranges)
+            return real(seed, indices, stream=stream)
 
         monkeypatch.setattr(campaign, "random_polygons", planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -378,10 +385,10 @@ class TestVerifyCommand:
         parent = os.getpid()
         index = campaign.TRIAL_CHUNK
 
-        def planted(seed, indices, *, stream, **ranges):
+        def planted(seed, indices, *, stream):
             if stream == campaign.STREAM_WIDE and index in indices and os.getpid() != parent:
                 os._exit(3)
-            return real(seed, indices, stream=stream, **ranges)
+            return real(seed, indices, stream=stream)
 
         monkeypatch.setattr(campaign, "random_polygons", planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -396,6 +403,19 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--trials", "0")
         assert code == 2
         assert "trials" in err
+
+    def test_grid_without_lune_fails_before_any_task(self, capsys, monkeypatch):
+        # a grid end within 1e-9 of pi has no lune; the config says so before
+        # the task map forks a worker or draws a trial
+        def planted(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(campaign, "_map", planted)
+        monkeypatch.setattr(campaign, "random_polygons", planted)
+        code, out, err = run_cli(capsys, "verify", "--trials", "5", "--delta-max", "3.1415926535")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: delta grid hi=3.1415926535 has no lune: thickness delta=3.1415926535 ")
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_exit_two(self, capsys, tol):

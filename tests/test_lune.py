@@ -56,7 +56,7 @@ class TestConstructLune:
         lune = construct_lune(2 * math.pi / 3)
         assert lune.thickness == pytest.approx(2 * math.pi / 3, abs=1e-15)
 
-    @pytest.mark.parametrize("delta", [0.0, math.pi, -0.5, 5.0])
+    @pytest.mark.parametrize("delta", [0.0, math.pi, -0.5, 5.0, 1e-10, math.pi - 1e-10])
     def test_domain_rejected(self, delta):
         with pytest.raises(DomainError):
             construct_lune(delta)

@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from scipy.optimize import linprog
 
 from sphereconvex import (
     EPS_ANTIPODE,
-    ConfigError,
     DegenerateHull,
     DiameterOutOfRange,
     DomainError,
@@ -35,7 +33,7 @@ from sphereconvex import (
     phi,
 )
 from sphereconvex import polygon as pg
-from sphereconvex.campaign import STREAM_RANGES, STREAM_SMALL, STREAM_WIDE
+from sphereconvex.polygon import STREAM_SMALL, STREAM_WIDE, STREAMS
 from support import (
     bits,
     chart_contains,
@@ -540,10 +538,10 @@ class TestBoundaryDiameter:
     def test_edge_edge_pairs_never_beat_diameter(self, count, radius):
         # each edge-edge critical pair is a saddle of the distance; pin that
         # on near-circular hulls, where the class has the most candidates,
-        # and on random trials
+        # and on random trials, 25 of the wide stream for each count
         P = convex_hull(near_circle_points(count, count, radius))
         assert 60 <= len(P.vertices) <= 150
-        polys = [P] + [random_polygon(7, idx, stream=count)[0] for idx in range(25)]
+        polys = [P] + [random_polygon(7, 1000 * count + idx)[0] for idx in range(25)]
         found = 0
         for Q in polys:
             cand = edge_edge_candidates(Q)
@@ -562,18 +560,20 @@ class TestBoundaryDiameter:
 class TestRandomPolygon:
     def test_exhaustion_raises_library_error(self, monkeypatch):
         monkeypatch.setattr(pg, "MAX_ATTEMPTS", 3)
+        monkeypatch.setitem(STREAMS, STREAM_WIDE, (STREAMS[STREAM_WIDE][0], (3.2, 3.3)))  # no diameter reaches it
         with pytest.raises(SamplingExhausted, match="after 3 attempts"):
-            random_polygon(1, 0, diameter_range=(3.2, 3.3))
+            random_polygon(1, 0)
 
-    # the cap center charts the hull, so no cap may reach its horizon
-    @pytest.mark.parametrize("cap_radius_range", [(0.5, math.pi / 2), (0.5, 2 * math.pi), (0.0, 1.0), (1.0, 0.5)])
-    def test_cap_range_rejected_before_any_draw(self, monkeypatch, cap_radius_range):
-        monkeypatch.setattr(pg, "_draw_attempts", None)  # a draw would raise TypeError
-        with pytest.raises(DomainError, match="cap_radius_range"):
-            random_polygon(1, 0, cap_radius_range=cap_radius_range)
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    def test_stream_caps_chart_their_hulls(self, stream):
+        # the cap center charts the hull, so no cap may reach its horizon
+        (lo, hi), (dlo, dhi) = STREAMS[stream]
+        assert 0.0 < lo <= hi < math.pi / 2
+        assert math.cos(hi) > pg.EPS_HEMI
+        assert 0.0 < dlo < dhi < math.pi
 
     # numpy's SeedSequence would raise a bare ValueError or TypeError for the
-    # negative and fractional keys; `replay` knows only the campaign's streams
+    # negative and fractional keys; a stream is a key of STREAMS
     @pytest.mark.parametrize(
         "draw, args, kwargs, error, match",
         [
@@ -584,8 +584,9 @@ class TestRandomPolygon:
             (random_polygon, (42.0, 0), {}, DomainError, "seed=42.0"),
             (random_polygon, (42, True), {}, DomainError, "index=True"),
             (replay, (42, 0, -1), {}, DomainError, "index=-1"),
-            (replay, (42, 2, 0), {}, ConfigError, "stream 2"),
-            (replay, (42, -1, 0), {}, ConfigError, "stream -1"),
+            (replay, (42, 2, 0), {}, DomainError, "stream=2"),
+            (replay, (42, -1, 0), {}, DomainError, "stream=-1"),
+            (random_polygon, (42, 0), {"stream": 2}, DomainError, "stream=2"),
         ],
     )
     def test_trial_key_rejected_before_any_draw(self, monkeypatch, draw, args, kwargs, error, match):
@@ -593,12 +594,11 @@ class TestRandomPolygon:
         with pytest.raises(error, match=match):
             draw(*args, **kwargs)
 
-    @pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
     def test_draw_matches_six_calls(self, stream):
         # three generator calls give the bits, and leave the generator in the
         # state, of one call per draw; a trial redraws with the same generator
-        default = inspect.signature(pg.random_polygons).parameters["cap_radius_range"].default
-        cap_radius_range = STREAM_RANGES[stream].get("cap_radius_range", default)
+        cap_radius_range = STREAMS[stream][0]
         for index in range(300):
             a, b = (np.random.Generator(np.random.PCG64(np.random.SeedSequence([42, stream, index]))) for _ in "ab")
             for _ in range(3):
@@ -606,10 +606,25 @@ class TestRandomPolygon:
                 assert [bits(x).tolist() for x in got] == [bits(x).tolist() for x in want]
             assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
     def test_stream_ranges_accepted(self, stream):
-        P, _ = random_polygon(1, 0, stream=stream, **STREAM_RANGES[stream])
+        P, _ = random_polygon(1, 0, stream=stream)
         assert np.min(P._varr @ P.hemisphere_center.v) >= math.sin(0.05) - 1e-12
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    def test_random_polygon_is_replay(self, stream):
+        # the stream key alone picks the ranges, so the public sampler gives a
+        # trial the polygon and witness `verify` replays, in its stream's range
+        for index in (0, 1, 269, 999):
+            P, w = random_polygon(42, index, stream=stream)
+            Q, v, _ = replay(42, stream, index)
+            assert bits(P._varr).tolist() == bits(Q._varr).tolist()
+            assert [bits(x).tolist() for x in (w.p.v, w.q.v, w.value)] == [
+                bits(x).tolist() for x in (v.p.v, v.q.v, v.value)
+            ]
+            assert w.attainment == v.attainment
+            lo, hi = STREAMS[stream][1]
+            assert lo < w.value < hi
 
 
 class TestRegularTriangle:

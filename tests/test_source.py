@@ -12,6 +12,7 @@ import sphereconvex
 
 PACKAGE = Path(sphereconvex.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -27,10 +28,10 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    # __init__.py imports names to re-export them; every other module
-    # imports a name only to use it.
+    # __init__.py imports names to re-export them; every other module, and
+    # every test file, imports a name only to use it.
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 

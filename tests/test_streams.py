@@ -7,13 +7,11 @@ is `support.generator_draw`, one attempt drawn from
 give its bits and leave each generator in the state the Generator is left in.
 """
 
-import inspect
-
 import numpy as np
 import pytest
 
 from sphereconvex import polygon as pg
-from sphereconvex.campaign import STREAM_RANGES, STREAM_WIDE
+from sphereconvex.polygon import STREAM_WIDE, STREAMS
 from sphereconvex.streams import _PCG_MULT, Streams
 from support import bits, generator_draw
 
@@ -38,11 +36,6 @@ def state_of(streams: Streams, k: int) -> dict:
     }
 
 
-def cap_radius_range(stream: int) -> tuple:
-    default = inspect.signature(pg.random_polygons).parameters["cap_radius_range"].default
-    return STREAM_RANGES[stream].get("cap_radius_range", default)
-
-
 def assert_draws_match(streams: Streams, rngs: list, cap, attempts: list) -> None:
     """Each attempt draws for its rows, and each row gets the oracle's draws
     from its own generator: the center, sag, cyclically padded heights and
@@ -64,7 +57,7 @@ def assert_draws_match(streams: Streams, rngs: list, cap, attempts: list) -> Non
             assert state_of(streams, k) == rng.bit_generator.state
 
 
-@pytest.mark.parametrize("stream", sorted(STREAM_RANGES))
+@pytest.mark.parametrize("stream", sorted(STREAMS))
 def test_trials_draw_their_generators_bits(stream):
     # three attempts of 300 trials, the second for every other trial only,
     # as a round redraws only the trials it has not accepted
@@ -73,7 +66,7 @@ def test_trials_draw_their_generators_bits(stream):
     assert_draws_match(
         Streams(42, stream, indices),
         [generator(42, stream, i) for i in indices],
-        cap_radius_range(stream),
+        STREAMS[stream][0],
         [rows, rows[::2], rows],
     )
 
@@ -88,7 +81,7 @@ def test_multi_word_keys(seed):
         assert_draws_match(
             Streams(seed, stream, indices),
             [generator(seed, stream, i) for i in indices],
-            cap_radius_range(1),
+            STREAMS[1][0],
             [rows, rows[1:], rows],
         )
 
@@ -116,5 +109,5 @@ def test_count_draw_rejections(high, rejections):
     calls = []
     real = streams.next_uint32
     streams.next_uint32 = lambda rows: calls.append(rows.tolist()) or real(rows)
-    assert_draws_match(streams, [rng], cap_radius_range(STREAM_WIDE), [np.arange(1)])
+    assert_draws_match(streams, [rng], STREAMS[STREAM_WIDE][0], [np.arange(1)])
     assert calls == [[0]] * (1 + rejections)
