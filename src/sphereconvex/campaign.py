@@ -39,6 +39,7 @@ from .polygon import (
     extreme_diameter,
     random_polygon,
     random_polygons,
+    regular_triangle,
     triangle_diameters,
 )
 from .quad import QuadSolution, check_identities, measure_quads, phi, phi_inverse_delta, solve_quad
@@ -106,6 +107,10 @@ class CampaignConfig:
                 construct_lune(delta)  # whose domain is narrower than (0, pi)
             except DomainError as exc:
                 raise ConfigError(f"delta grid {name}={delta!r} has no lune: {exc}") from exc
+        try:
+            regular_triangle(2.0 * phi(grid.hi))  # the tightness table's largest triangle, as phi increases
+        except DomainError as exc:
+            raise ConfigError(f"delta grid hi={grid.hi!r} has no regular triangle of side 2*phi(hi): {exc}") from exc
         if not 0 < self.tolerance < math.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.output_format not in ("text", "json", "csv"):

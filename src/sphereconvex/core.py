@@ -4,10 +4,10 @@ All types are immutable values and all operations are pure functions, so
 everything here is safe to share between threads.  Distances and angles are
 in radians throughout.
 
-The vectors behind the values (``SpherePoint.v``, ``GreatCircle.n``, and the
-vertex array and the arrays ``SphericalPolygon`` keeps with it) are read-only ndarrays.  Code that
-passes one to a routine that needs a writeable buffer, such as scipy 1.17's
-``Rotation.apply``, must pass a copy: ``np.array(p.v)``.
+The vectors behind the values (``SpherePoint.v``, ``GreatCircle.n``, and
+every array of the one ring a ``SphericalPolygon`` keeps) are read-only
+ndarrays.  Code that passes one to a routine that needs a writeable buffer,
+such as scipy 1.17's ``Rotation.apply``, must pass a copy: ``np.array(p.v)``.
 """
 
 from __future__ import annotations

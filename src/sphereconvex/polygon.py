@@ -40,7 +40,7 @@ the origin, which Wolfe's nearest-point algorithm finds in plain numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -204,11 +204,6 @@ def _validated(R: _Rings) -> _Rings:
     return R
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class SphericalPolygon:
     """Ordered vertex cycle of a convex spherical polygon.
@@ -220,52 +215,44 @@ class SphericalPolygon:
     between its neighbours and is valid but not extreme.
 
     Takes the vertices as an (n, 3) array or a sequence of SpherePoints or
-    3-sequences, each row checked as SpherePoint checks it, and keeps them as
-    a read-only (n, 3) array; `vertices` wraps its rows in SpherePoints on
-    first access.  The edge lengths, edge normals and turns that validate the
-    cycle are kept beside it as read-only arrays.
+    3-sequences, each row checked as SpherePoint checks it.  It keeps only the
+    ring it was validated in, `_ring`: a stack of one, sliced to its n
+    vertices, with every array read-only.  `vertices` and `hemisphere_center`
+    wrap its rows in SpherePoints on first access.
     """
 
-    _varr: np.ndarray
-    hemisphere_center: SpherePoint
-    _edge_lengths: np.ndarray = field(repr=False)
-    _edge_normals: np.ndarray = field(repr=False)
-    _turns: np.ndarray = field(repr=False)
-    _extreme: np.ndarray = field(repr=False)
+    _ring: _Rings
 
     def __init__(self, vertices: np.ndarray | Sequence[SpherePoint], hemisphere_center: SpherePoint):
         V = _as_unit_rows(vertices)
         if V.shape[0] < 3:
             raise InvalidPolygon("a polygon needs at least 3 vertices")
-        self._fill(_validated(_rings(V[None], np.array([V.shape[0]]), hemisphere_center.v[None])), 0, hemisphere_center)
+        self._view(_validated(_rings(V[None], np.array([V.shape[0]]), hemisphere_center.v[None])), 0)
 
     @classmethod
     def _of(cls, R: _Rings, k: int) -> "SphericalPolygon":
         """Ring k of a stack that passed _ring_faults, as a polygon."""
         P = object.__new__(cls)
-        P._fill(R, k, SpherePoint(R.c[k]))
+        P._view(R, k)
         return P
 
-    def _fill(self, R: _Rings, k: int, hemisphere_center: SpherePoint) -> None:
-        n = R.n[k]
-        object.__setattr__(self, "hemisphere_center", hemisphere_center)
-        for name, a in (("_varr", R.V), ("_edge_lengths", R.L), ("_edge_normals", R.N), ("_turns", R.t)):
-            object.__setattr__(self, name, _frozen(a[k, :n]))
-        object.__setattr__(self, "_extreme", _frozen(self._turns > EPS_ANGLE))
+    def _view(self, R: _Rings, k: int) -> None:
+        n, rows = R.n[k], slice(k, k + 1)
+        ring = _Rings(R.V[rows, :n], R.n[rows], R.c[rows], R.L[rows, :n], R.N[rows, :n], R.t[rows, :n])
+        for a in ring:
+            a.flags.writeable = False
+        object.__setattr__(self, "_ring", ring)
 
-    def _as_stack(self) -> _Rings:
-        """This polygon as a stack of one."""
-        return _Rings(
-            *(a[None] for a in (self._varr, np.array(self._varr.shape[0]), self.hemisphere_center.v)),
-            *(a[None] for a in (self._edge_lengths, self._edge_normals, self._turns)),
-        )
+    @cached_property
+    def hemisphere_center(self) -> SpherePoint:
+        return SpherePoint(self._ring.c[0])
 
     @cached_property
     def vertices(self) -> tuple[SpherePoint, ...]:
-        return tuple(SpherePoint(v) for v in self._varr)
+        return tuple(SpherePoint(v) for v in self._ring.V[0])
 
     def to_dict(self) -> dict:
-        return {"vertices": self._varr.tolist()}
+        return {"vertices": self._ring.V[0].tolist()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SphericalPolygon":
@@ -498,14 +485,14 @@ def convex_hull(points: np.ndarray | Sequence[SpherePoint]) -> SphericalPolygon:
 
 def contains(P: SphericalPolygon, p: SpherePoint, tol: float = EPS_ON) -> bool:
     """Whether p lies in the polygon (boundary included, residual tol)."""
-    if float(np.dot(p.v, P.hemisphere_center.v)) <= 0.0:
+    if float(np.dot(p.v, P._ring.c[0])) <= 0.0:
         return False
-    return float(np.min(P._edge_normals @ p.v)) >= -tol
+    return float(np.min(P._ring.N[0] @ p.v)) >= -tol
 
 
 def extreme_points(P: SphericalPolygon) -> list[SpherePoint]:
     """Vertices that are not interior to the arc joining their neighbours."""
-    return [SpherePoint(v) for v in P._varr[P._extreme]]
+    return [SpherePoint(v) for v in P._ring.V[0][P._ring.t[0] > EPS_ANGLE]]
 
 
 def _pair_angles(V: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -540,7 +527,7 @@ def _farthest(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def extreme_diameter(P: SphericalPolygon) -> float:
     """Largest pairwise distance between extreme points."""
-    V = P._varr[P._extreme][None]
+    V = P._ring.V[:, P._ring.t[0] > EPS_ANGLE]
     return float(_farthest(_pair_angles(V, np.array([V.shape[1]])))[2][0])
 
 
@@ -624,7 +611,7 @@ def boundary_diameter(P: SphericalPolygon) -> DiameterWitness:
     where the on-arc check drops it anyway.  The rest get the full
     enumeration's formulas, so the result is the same to the bit.
     """
-    value, edge, p, q, _ = (a[0] for a in _boundary_diameters(P._as_stack()))
+    value, edge, p, q, _ = (a[0] for a in _boundary_diameters(P._ring))
     return DiameterWitness(SpherePoint(p), SpherePoint(q), float(value), VERTEX_EDGE if edge else VERTEX_VERTEX)
 
 

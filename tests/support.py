@@ -261,7 +261,7 @@ def reference_ring_faults(R: pg._Rings) -> np.ndarray:
 
 
 def stack_of(polys) -> pg._Rings:
-    Vs, n = cyclic([P._varr for P in polys])
+    Vs, n = cyclic([P._ring.V[0] for P in polys])
     return pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
 
 

@@ -100,7 +100,7 @@ def perturbed_triangles(draw):
     rng = np.random.default_rng(draw(seeds))
     delta = draw(st.floats(math.pi / 2 + 1e-3, math.pi - 1e-3))
     T = regular_triangle(2.0 * phi(delta))
-    pts = T._varr
+    pts = T._ring.V[0]
     if draw(st.booleans()):
         pts = np.vstack([pts, boundary_diameter(T).q.v])
     pts = nudged(rng, pts, draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6])))
@@ -172,7 +172,7 @@ def test_clouds_give_polygons_or_library_errors(cloud_list):
             assert str(want) == pg._HULL_FAULTS[code]
             continue
         assert code == -1
-        assert np.array_equal(bits(R.V[row, : R.n[row]]), bits(want._varr))
+        assert np.array_equal(bits(R.V[row, : R.n[row]]), bits(want._ring.V[0]))
         row += 1
     assert row == len(R.n)
 

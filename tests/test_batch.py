@@ -42,7 +42,7 @@ RARE_WIDE = {11: 2, 17: 1, 269: 4}
 
 def scalar_row(stream: int, index: int) -> tuple:
     P, w, ed = campaign.replay(SEED, stream, index)
-    return w.value, ed, P._varr.shape[0]
+    return w.value, ed, P._ring.V[0].shape[0]
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +133,7 @@ def hull_clouds() -> list[np.ndarray]:
     rng = np.random.default_rng(3)
     caps = [cap_cloud(rng, count, radius) for count, radius in ((8, 0.9), (40, 1.3), (5, 0.2), (60, 1.45))]
     # a point 1e-12 rad off a hull vertex, in a direction where the planar hull keeps both
-    v = convex_hull(caps[1])._varr[0]
+    v = convex_hull(caps[1])._ring.V[0][0]
     t = np.cross(v, np.random.default_rng(4).normal(size=3))
     t /= np.linalg.norm(t)
     near_duplicate = np.vstack([caps[1], math.cos(1e-12) * v + math.sin(1e-12) * t])
@@ -259,7 +259,8 @@ def test_hull_stack_equals_single_hulls(monkeypatch):
                 assert str(want) == pg._HULL_FAULTS[code]
                 continue
             assert code == -1
-            for got, ref in ((R.V, want._varr), (R.L, want._edge_lengths), (R.N, want._edge_normals), (R.t, want._turns)):
+            ring = want._ring
+            for got, ref in ((R.V, ring.V[0]), (R.L, ring.L[0]), (R.N, ring.N[0]), (R.t, ring.t[0])):
                 assert np.array_equal(bits(got[row, : R.n[row]]), bits(ref))
             assert np.array_equal(bits(R.c[row]), bits(want.hemisphere_center.v))
             row += 1
@@ -287,12 +288,12 @@ def test_collinear_stack_has_no_hulls():
 def test_tie_goes_to_first_pair_in_a_stack():
     a, c = math.sin(0.4), math.cos(0.4)
     square = SphericalPolygon(np.array([[a, 0.0, c], [0.0, a, c], [-a, 0.0, c], [0.0, -a, c]]), SpherePoint((0, 0, 1)))
-    V = square._varr
+    V = square._ring.V[0]
     assert pg.vecmath.ang(V[0], V[2]) == pg.vecmath.ang(V[1], V[3])  # both diagonals, to the bit
     rng = np.random.default_rng(8)
     others = [convex_hull(cap_cloud(rng, count, 1.2)) for count in (12, 30, 6)]
     for polys in ([square, *others], [*others, square], [others[0], square, *others[1:]]):
-        Vs, n = cyclic([P._varr for P in polys])
+        Vs, n = cyclic([P._ring.V[0] for P in polys])
         R = pg._rings(Vs, n, np.array([P.hemisphere_center.v for P in polys]))
         value, edge, p, q, ext = pg._boundary_diameters(R)
         for k, P in enumerate(polys):
@@ -342,7 +343,7 @@ def near_circular_stacks() -> list:
         az = rng.uniform(0.0, 2.0 * math.pi, size=count)
         ring = np.cos(az)[:, None] * e1 + np.sin(az)[:, None] * e2
         polys.append(convex_hull(np.cos(theta)[:, None] * center + np.sin(theta)[:, None] * ring))
-    assert 20 <= min(P._varr.shape[0] for P in polys) and max(P._varr.shape[0] for P in polys) <= 150
+    assert 20 <= min(P._ring.V[0].shape[0] for P in polys) and max(P._ring.V[0].shape[0] for P in polys) <= 150
     return [stack_of([P]) for P in polys] + [stack_of(polys)]
 
 
@@ -380,8 +381,8 @@ def triangle_stacks(flat_feet: bool) -> list:
         T = regular_triangle(2.0 * phi(float(d)))
         if flat_feet:
             q = boundary_diameter(T).q.v
-            e = int(np.argmin(np.abs(T._edge_normals @ q)))
-            T = SphericalPolygon(np.insert(T._varr, e + 1, q, axis=0), T.hemisphere_center)
+            e = int(np.argmin(np.abs(T._ring.N[0] @ q)))
+            T = SphericalPolygon(np.insert(T._ring.V[0], e + 1, q, axis=0), T.hemisphere_center)
         polys.append(T)
     return [stack_of(polys), *(stack_of([P]) for P in polys)]
 

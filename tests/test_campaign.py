@@ -299,6 +299,7 @@ class TestConfigValidation:
             {"delta_grid": DeltaGrid(lo="2")},
             {"delta_grid": None},
             {"delta_grid": DeltaGrid(lo=2.0, hi=3.1415926535, steps=5)},  # no lune within 1e-9 of pi
+            {"delta_grid": DeltaGrid(lo=2.0, hi=3.14159265)},  # a lune, but no triangle of side 2*phi(hi)
         ],
     )
     def test_rejected(self, kwargs):

@@ -417,6 +417,19 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: delta grid hi=3.1415926535 has no lune: thickness delta=3.1415926535 ")
 
+    def test_grid_without_triangle_fails_before_any_task(self, capsys, monkeypatch):
+        # a grid end with a lune but within 3e-6 of pi has no hemisphere-contained
+        # regular triangle of side 2*phi(hi) for the tightness table
+        def planted(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(campaign, "_map", planted)
+        monkeypatch.setattr(campaign, "random_polygons", planted)
+        code, out, err = run_cli(capsys, "verify", "--trials", "5", "--delta-max", "3.14159265")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: delta grid hi=3.14159265 has no regular triangle of side 2*phi(hi): side=")
+
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_exit_two(self, capsys, tol):
         # an infinite tolerance would pass every check and write

@@ -217,19 +217,19 @@ class TestConvexHull:
             P = convex_hull(arr)
             assert created == [P.hemisphere_center]  # the hull ring stays an array
             Q = convex_hull([SpherePoint(v) for v in arr])
-            assert np.array_equal(P._varr, Q._varr)
+            assert np.array_equal(P._ring.V[0], Q._ring.V[0])
             assert np.array_equal(P.hemisphere_center.v, Q.hemisphere_center.v)
             # the constructor gives one polygon for an array and for the
             # tuple of its points, and keeps a read-only copy of either
-            V = np.array(P._varr)
+            V = np.array(P._ring.V[0])
             polys = [SphericalPolygon(V, P.hemisphere_center), SphericalPolygon(P.vertices, P.hemisphere_center)]
             V[0] = V[1]
             for R in polys:
-                assert np.array_equal(R._varr, P._varr)
-                assert np.array_equal(np.array([p.v for p in R.vertices]), P._varr)
-                assert not R._varr.flags.writeable
+                assert np.array_equal(R._ring.V[0], P._ring.V[0])
+                assert np.array_equal(np.array([p.v for p in R.vertices]), P._ring.V[0])
+                assert not R._ring.V[0].flags.writeable
                 with pytest.raises(ValueError):
-                    R._varr[0, 0] = 0.0
+                    R._ring.V[0][0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "points",
@@ -273,7 +273,7 @@ class TestConvexHull:
 
     def test_point_at_centroid_is_interior(self):
         square = [[-1.0, -1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]
-        assert convex_hull(np.array(square + [[0.0, 0.0, 1.0]]))._varr.shape[0] == 4
+        assert convex_hull(np.array(square + [[0.0, 0.0, 1.0]]))._ring.V[0].shape[0] == 4
 
     def test_lp_fallback_center(self):
         # a wide cluster plus an outlier pulls the vector-sum center outside
@@ -308,7 +308,7 @@ class TestConvexHull:
         rng = np.random.default_rng(5)
         for k in range(20):
             pts = np.array([p.v for p in cap_points(100 + k, 20, 1.0)])
-            v = convex_hull(pts)._varr[k % 4]
+            v = convex_hull(pts)._ring.V[0][k % 4]
             t = np.cross(v, rng.normal(size=3))
             t /= np.linalg.norm(t)
             for eps in (1e-10, 1e-12):
@@ -339,8 +339,8 @@ class TestConvexHull:
         # every hull vertex turns and every edge is a proper arc
         for pts in getattr(self, family)():
             P = convex_hull(pts)
-            assert np.all(P._extreme)
-            assert np.all(P._edge_lengths > EPS_ANTIPODE)
+            assert np.all(P._ring.t[0] > pg.EPS_ANGLE)
+            assert np.all(P._ring.L[0] > EPS_ANTIPODE)
             for p in pts:
                 assert contains(P, SpherePoint(p), 1e-9)
 
@@ -445,6 +445,44 @@ class TestPolygonValidation:
         }
         P = SphericalPolygon.from_dict(obj)
         assert boundary_diameter(P).value == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+def constructed(kind):
+    """A polygon from one constructor, the bits of the center it was given or
+    found, and its vertex count."""
+    square = np.array([p.v for p in spherical_square()])
+    given = SpherePoint((0.1, -0.2, 1.0))
+    if kind in ("array", "points"):
+        return SphericalPolygon(square if kind == "array" else spherical_square(), given), given.v, 4
+    if kind == "from_dict":
+        return SphericalPolygon.from_dict({"vertices": square.tolist()}), pg._hemisphere_center(square), 4
+    if kind == "convex_hull":
+        # a near-duplicate of a corner along its edge: the hull ring drops it
+        # after its stack was built, so the stack has a row past the polygon's
+        pts = np.vstack([square, math.cos(1e-10) * square[0] + math.sin(1e-10) * np.array([0.0, 1.0, 0.0])])
+        return convex_hull(pts), pg._hemisphere_center(pts), 4
+    if kind == "regular_triangle":
+        return regular_triangle(1.0), np.array([0.0, 0.0, 1.0]), 3
+    rows, [(R, row)] = pg.random_polygons(42, [7])
+    return random_polygon(42, 7)[0], R.c[row], int(rows[0, 2])
+
+
+class TestStorage:
+    @pytest.mark.parametrize(
+        "kind", ["array", "points", "from_dict", "convex_hull", "regular_triangle", "random_polygon"]
+    )
+    def test_polygon_is_a_read_only_ring(self, kind):
+        # every constructor keeps one ring: a stack of one, sliced to the
+        # polygon's own vertices, read-only, and with the center's bits
+        P, center, n = constructed(kind)
+        ring = P._ring
+        assert ring.n.tolist() == [n]
+        assert [a.shape for a in ring] == [(1, n, 3), (1,), (1, 3), (1, n), (1, n, 3), (1, n)]
+        assert not any(a.flags.writeable for a in ring)
+        with pytest.raises(ValueError):
+            ring.V[0, 0, 0] = 0.0
+        assert np.array_equal(bits(P.hemisphere_center.v), bits(center))
+        assert len(P.to_dict()["vertices"]) == len(P.vertices) == n
 
 
 class TestExtremePoints:
@@ -609,7 +647,7 @@ class TestRandomPolygon:
     @pytest.mark.parametrize("stream", sorted(STREAMS))
     def test_stream_ranges_accepted(self, stream):
         P, _ = random_polygon(1, 0, stream=stream)
-        assert np.min(P._varr @ P.hemisphere_center.v) >= math.sin(0.05) - 1e-12
+        assert np.min(P._ring.V[0] @ P.hemisphere_center.v) >= math.sin(0.05) - 1e-12
 
     @pytest.mark.parametrize("stream", sorted(STREAMS))
     def test_random_polygon_is_replay(self, stream):
@@ -618,7 +656,7 @@ class TestRandomPolygon:
         for index in (0, 1, 269, 999):
             P, w = random_polygon(42, index, stream=stream)
             Q, v, _ = replay(42, stream, index)
-            assert bits(P._varr).tolist() == bits(Q._varr).tolist()
+            assert bits(P._ring.V[0]).tolist() == bits(Q._ring.V[0]).tolist()
             assert [bits(x).tolist() for x in (w.p.v, w.q.v, w.value)] == [
                 bits(x).tolist() for x in (v.p.v, v.q.v, v.value)
             ]
@@ -661,7 +699,7 @@ class TestRegularTriangle:
         single = [regular_triangle(s) for s in sides]
         assert bits(diam).tolist() == bits([boundary_diameter(P).value for P in single]).tolist()
         assert bits(extreme).tolist() == bits([extreme_diameter(P) for P in single]).tolist()
-        assert all(P._extreme.all() for P in single)
+        assert all((P._ring.t[0] > pg.EPS_ANGLE).all() for P in single)
         with pytest.raises(DomainError, match="side=3.0 too long"):
             pg.triangle_diameters([0.5, 3.0, -1.0])
         assert [a.size for a in pg.triangle_diameters([])] == [0, 0]

@@ -36,29 +36,32 @@ def test_no_unused_imports(path):
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level `_x` names (not dunders) bound by def, class or assignment."""
+    """`_x` names (not dunders) bound by def, class or assignment at module
+    level or in the body of a module-level class: private helpers, and the
+    private methods and fields of classes."""
     defined = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined[name] = node.lineno
+    for scope in [tree, *(node for node in tree.body if isinstance(node, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = node.lineno
     return defined
 
 
 def _used_names(tree: ast.Module) -> set[str]:
-    """Names read, attributes taken and names imported anywhere in the module."""
+    """Names read, attributes read and names imported anywhere in the module."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             used.update(alias.name for alias in node.names)
@@ -70,8 +73,8 @@ TREES = {p.name: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
 
 @pytest.mark.parametrize("name", sorted(TREES), ids=str)
 def test_no_unused_private_names(name):
-    # a private helper is there for some other code of the library; one that
-    # nothing reads any more is dead
+    # a private helper, method or field is there for some other code of the
+    # library; one that nothing reads any more is dead
     used = set().union(*(_used_names(tree) for tree in TREES.values()))
     defined = _private_definitions(TREES[name])
     assert [f"{n} (line {line})" for n, line in defined.items() if n not in used] == []
