@@ -43,6 +43,7 @@ from .lune import (
     construct_lune,
     equilateral_points,
     lune_checks,
+    lune_rows,
     min_sampled_distance,
     perpendicular_drop,
 )

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .lune import construct_lune, lune_checks
+from .lune import construct_lune, lune_rows
 from .polygon import (
     STREAM_SMALL,
     STREAM_WIDE,
@@ -107,6 +107,10 @@ class CampaignConfig:
                 construct_lune(delta)  # whose domain is narrower than (0, pi)
             except DomainError as exc:
                 raise ConfigError(f"delta grid {name}={delta!r} has no lune: {exc}") from exc
+        try:
+            phi_inverse_delta(phi(grid.lo))  # phi increases, so only lo can round onto pi/4
+        except DomainError as exc:
+            raise ConfigError(f"delta grid lo={grid.lo!r} has no phi_inverse_delta of phi(lo): {exc}") from exc
         try:
             regular_triangle(2.0 * phi(grid.hi))  # the tightness table's largest triangle, as phi increases
         except DomainError as exc:
@@ -211,9 +215,9 @@ def _task(task: tuple):
 
 
 def _lune_rows(deltas: Sequence[float], samples: int) -> list[dict]:
-    """`lune_checks` rows of the grid deltas, in order; `lune_checks` is
+    """`lune.lune_rows` of the grid deltas, one stacked pass; `lune_rows` is
     looked up when this runs, as `_task` looks up its functions."""
-    return [lune_checks(d, samples) for d in deltas]
+    return lune_rows(deltas, samples)
 
 
 def _claim(fd: int, stop: int | None = None) -> int:
@@ -387,13 +391,13 @@ def run_verify(config: CampaignConfig) -> CampaignReport:
     # The small-diameter regime needs fewer trials for the same confidence;
     # scale with the configured budget but cap at 1000.
     counts = [(STREAM_WIDE, trials), (STREAM_SMALL, min(1000, 10 * trials))]
-    # One task list, grid first: the lune rows are the longest single task,
-    # so a worker starts them before any trial chunk and they do not finish
-    # last; with one CPU they run before the trials grow the heap.
+    # One task list, longest first, since workers claim tasks in list order:
+    # the trial chunks (tens of ms each), then the grid tasks (a few ms
+    # each), which fill the time one worker would idle while the other runs
+    # the last chunk.
     grid_tasks = [("lune", deltas, LUNE_SAMPLES), ("quad", sides), ("table", deltas)]
-    results = iter(_map([*grid_tasks, *_chunks(seed, counts)]))
-    lunes, quad_errors, table = next(results), next(results), next(results)
-    wide, small = _stream_rows(counts, results)
+    *chunks, lunes, quad_errors, table = _map([*_chunks(seed, counts), *grid_tasks])
+    wide, small = _stream_rows(counts, chunks)
     diam, ext, nverts = wide.T
     margin, ratio = ext - 2.0 * np.array([phi(d) for d in diam]), ext / diam
     small_diam, small_ext, _ = small.T

@@ -11,6 +11,11 @@ chord arc between those two points satisfies |k h| >= 2*phi(delta) for the
 opposite center h, and more generally |k l| >= 2*phi(delta) for every l on
 the arc from h to the orthogonal drop of k onto the far semicircle.  The
 operations below construct these objects and measure the inequalities.
+
+The measurements run on stacks of lunes (`_Frames`): `lune_rows` computes
+the rows of a whole thickness grid in blocks of _LUNE_BLOCK lunes, and
+`construct_lune`, `equilateral_points`, `perpendicular_drop`,
+`min_sampled_distance` and `lune_checks` are the same kernels at K = 1.
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import vecmath
 from .core import (
     EPS_ON,
+    EPS_UNIT,
     GreatCircle,
     Semicircle,
     SpherePoint,
@@ -36,6 +43,38 @@ from .quad import phi
 # the angle between its circles: nearer coincident or opposite circles are
 # no lune.
 EPS_LUNE = 1e-9
+
+# Why a frame is no lune: the checks of `Semicircle` and `Lune`, as
+# `_fault_codes` reports them.
+_FAULTS = (
+    "semicircle center does not lie on its circle",
+    "bounding circles coincide or are opposite; not a lune",
+    "corner does not lie on both bounding circles",
+    "corner is not an endpoint of a bounding semicircle",
+    "corners must be antipodal",
+)
+
+# `lune_rows` takes its grid in blocks of at most _LUNE_BLOCK lunes (the
+# default 50-step grid is two), and one `_cells` call takes at most _CELLS
+# cells (chord rows x arc samples), or one row, so no temporary grows with
+# the grid.  A block's (K, n, 3) stacks at 200 samples are 120 KB each, and
+# _CELLS cells are 256 KB per array, less than the 320 KB of one 200 x 200
+# lune.
+_LUNE_BLOCK = 25
+_CELLS = 1 << 15
+
+
+class _Frames(NamedTuple):
+    """K lunes as (K, 3) stacks: the centers a of side_a and b of side_b,
+    the corners c0 and c1, and the circle normals na of side_a and nb of
+    side_b."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    na: np.ndarray
+    nb: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,21 +92,87 @@ class Lune:
     corners: tuple[SpherePoint, SpherePoint]
 
     def __post_init__(self):
-        cross = vecmath.cross(self.side_a.circle.n, self.side_b.circle.n)
-        if float(np.linalg.norm(cross)) < EPS_LUNE:
-            raise DomainError("bounding circles coincide or are opposite; not a lune")
-        for corner in self.corners:
-            for side in (self.side_a, self.side_b):
-                if not side.circle.contains(corner):
-                    raise DomainError("corner does not lie on both bounding circles")
-                if abs(distance(corner, side.center) - math.pi / 2) > 1e-10:
-                    raise DomainError("corner is not an endpoint of a bounding semicircle")
-        if distance(self.corners[0], self.corners[1]) < math.pi - 1e-9:
-            raise DomainError("corners must be antipodal")
+        code = _fault_codes(_frames(self))[0]
+        if code >= 0:
+            raise DomainError(_FAULTS[code])
 
     @cached_property
     def thickness(self) -> float:
         return distance(self.side_a.center, self.side_b.center)
+
+
+def _frames(lune: Lune) -> _Frames:
+    """The stack of one lune."""
+    vectors = (lune.side_a.center, lune.side_b.center, *lune.corners)
+    return _Frames(*(p.v[None] for p in vectors), lune.side_a.circle.n[None], lune.side_b.circle.n[None])
+
+
+def _fault_codes(f: _Frames) -> np.ndarray:
+    """Per lune, the index in _FAULTS of the first check it fails, or -1.
+
+    The checks are those its sides' `Semicircle`s and `Lune` make, in their
+    order and with the bits of their scalar tests: np.dot and
+    np.linalg.norm of 3-vectors are `vecmath.blas_dot`, and `distance` is
+    `vecmath.ang`.
+    """
+
+    def off(p, n):  # not `GreatCircle.contains`
+        return ~(np.abs(vecmath.blas_dot(p, n)) <= EPS_ON)
+
+    cross = vecmath.cross(f.na, f.nb)
+    checks = [(0, off(f.a, f.na)), (0, off(f.b, f.nb)), (1, np.sqrt(vecmath.blas_dot(cross, cross)) < EPS_LUNE)]
+    for corner in (f.c0, f.c1):
+        for n, center in ((f.na, f.a), (f.nb, f.b)):
+            checks += [(2, off(corner, n)), (3, np.abs(vecmath.ang(corner, center) - math.pi / 2) > 1e-10)]
+    checks.append((4, vecmath.ang(f.c0, f.c1) < math.pi - 1e-9))
+    codes, fails = (np.array(column) for column in zip(*checks))
+    return np.where(fails.any(axis=0), codes[fails.argmax(axis=0)], -1)
+
+
+def _unit_rows(w: np.ndarray) -> np.ndarray:
+    """`SpherePoint`'s unit rule on each row of w: a row within EPS_UNIT of
+    unit norm is kept, any other is divided by its norm, which has the bits
+    of np.linalg.norm."""
+    n = np.sqrt(vecmath.blas_dot(w, w))[..., None]
+    return np.where(np.abs(n - 1.0) > EPS_UNIT, w / n, w)
+
+
+def _lune_frames(deltas: Sequence[float]) -> tuple[_Frames, list[str | None]]:
+    """The canonical lunes of thickness deltas as one stack and, per delta,
+    the message of the first check it fails, or None.
+
+    Pose: corners on the y-axis, semicircle centers on the x-z great circle
+    separated by delta and symmetric about (1, 0, 0).  Each row has the bits
+    of the objects that would make up its lune: scalars from `math`,
+    `SpherePoint`'s unit rule on every point and normal, and the checks of
+    `Semicircle` and `Lune` as array tests.  A delta outside the domain gets
+    the frame of delta = 0, whose faults are not read.
+    """
+    faults = [
+        None
+        if 0.0 < d < math.pi and math.sin(d) >= EPS_LUNE
+        else f"thickness delta={d} outside the lune domain 0 < delta < pi, sin(delta) >= {EPS_LUNE}"
+        for d in deltas
+    ]
+    halves = [d / 2.0 if fault is None else 0.0 for d, fault in zip(deltas, faults)]
+    cos_sin = [(math.cos(half), math.sin(half)) for half in halves]
+    a = _unit_rows(np.array([(c, 0.0, s) for c, s in cos_sin]))
+    b = _unit_rows(np.array([(c, 0.0, -s) for c, s in cos_sin]))
+    c0, c1 = (np.broadcast_to(corner, a.shape) for corner in ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0)))
+    f = _Frames(a, b, c0, c1, _unit_rows(vecmath.cross(c0, a)), _unit_rows(vecmath.cross(c0, b)))
+    codes = _fault_codes(f)
+    for k in np.flatnonzero(codes >= 0):
+        faults[k] = faults[k] or _FAULTS[codes[k]]
+    return f, faults
+
+
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls whose checks passed as array
+    tests, built without running them again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def construct_lune(delta: float) -> Lune:
@@ -76,25 +181,26 @@ def construct_lune(delta: float) -> Lune:
     sin(delta), which `Lune` needs at least EPS_LUNE, so no thickness within
     about 1e-9 of 0 or pi has a lune.
 
-    Pose: corners on the y-axis, semicircle centers on the x-z great circle
-    separated by delta and symmetric about (1, 0, 0).
+    Row 0 of `_lune_frames`, which checks it as `Lune` would.
     """
-    if not (0.0 < delta < math.pi and math.sin(delta) >= EPS_LUNE):
-        raise DomainError(f"thickness delta={delta} outside the lune domain 0 < delta < pi, sin(delta) >= {EPS_LUNE}")
-    half = delta / 2.0
-    center_a = SpherePoint((math.cos(half), 0.0, math.sin(half)))
-    center_b = SpherePoint((math.cos(half), 0.0, -math.sin(half)))
-    corners = (SpherePoint((0.0, 1.0, 0.0)), SpherePoint((0.0, -1.0, 0.0)))
-    side_a = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_a.v)), center_a)
-    side_b = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_b.v)), center_b)
-    return Lune(side_a=side_a, side_b=side_b, corners=corners)
+    f, faults = _lune_frames([delta])
+    if faults[0] is not None:
+        raise DomainError(faults[0])
+    a, b, c0, c1, na, nb = (np.array(rows[0]) for rows in f)
+    for v in (a, b, c0, c1, na, nb):
+        v.flags.writeable = False
+    return _built(
+        Lune,
+        side_a=_built(Semicircle, circle=_built(GreatCircle, n=na), center=_built(SpherePoint, v=a)),
+        side_b=_built(Semicircle, circle=_built(GreatCircle, n=nb), center=_built(SpherePoint, v=b)),
+        corners=(_built(SpherePoint, v=c0), _built(SpherePoint, v=c1)),
+    )
 
 
-def _require_wide(lune: Lune) -> float:
-    delta = lune.thickness
-    if not math.pi / 2 < delta < math.pi:
-        raise DomainError(f"thickness {delta} outside (pi/2, pi); the bounds need a wide lune")
-    return delta
+def _require_wide(thickness: float) -> float:
+    if not math.pi / 2 < thickness < math.pi:
+        raise DomainError(f"thickness {thickness} outside (pi/2, pi); the bounds need a wide lune")
+    return thickness
 
 
 def equilateral_points(lune: Lune) -> tuple[SpherePoint, SpherePoint]:
@@ -104,13 +210,18 @@ def equilateral_points(lune: Lune) -> tuple[SpherePoint, SpherePoint]:
     two points and that center form an equilateral triangle.  The first
     returned point is the one toward corners[0].
     """
-    delta = _require_wide(lune)
-    ph = phi(delta)
-    g = lune.side_a.center.v
-    u = vecmath.unit(vecmath.reject(lune.corners[0].v, g))
-    i = math.cos(ph) * g + math.sin(ph) * u
-    j = math.cos(ph) * g - math.sin(ph) * u
-    return SpherePoint(i), SpherePoint(j)
+    i, j = _equilateral_points(_frames(lune), [phi(_require_wide(lune.thickness))])
+    return SpherePoint(i[0]), SpherePoint(j[0])
+
+
+def _equilateral_points(f: _Frames, half_sides: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(K, 3) stacks of the `equilateral_points` of the lunes of f, at the
+    given half-sides, phi of each lune's thickness."""
+    g = f.a
+    u = vecmath.unit(vecmath.reject(f.c0, g))
+    cos = np.array([math.cos(ph) for ph in half_sides])[:, None]
+    sin = np.array([math.sin(ph) for ph in half_sides])[:, None]
+    return _unit_rows(cos * g + sin * u), _unit_rows(cos * g - sin * u)
 
 
 def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
@@ -121,30 +232,32 @@ def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
     (the one within pi/2 of its center); for a wide lune it is the far
     crossing, at distance at least the thickness from k.
     """
-    delta = _require_wide(lune)
+    delta = _require_wide(lune.thickness)
     if not lune.side_a.circle.contains(k, EPS_ON):
         raise NotOnArc("point is not on the circle carrying the chord arc")
     if distance(k, lune.side_a.center) > phi(delta) + 1e-9:
         raise NotOnArc("point is outside the chord arc between the equilateral points")
-    drops, norms = _drops(lune, k.v[None])
-    if norms[0] < 1e-12:
+    drops, norms = _drops(_frames(lune), k.v[None, None])
+    if norms[0, 0] < 1e-12:
         raise NotOnArc("point is a pole of the far circle; the drop is not unique")
-    return SpherePoint(drops[0])
+    return SpherePoint(drops[0, 0])
 
 
-def _drops(lune: Lune, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drops of the (n, 3) points onto side_b (w / |w| toward its center) and
-    the norms of their projections w onto its plane.  Rounding tilts the short
-    w of a point near the pole off the plane; a second projection puts it
-    back ("twice is enough", as for Gram-Schmidt)."""
-    n_b = lune.side_b.circle.n
-    w = points - (points @ n_b)[:, None] * n_b
-    w -= (w @ n_b)[:, None] * n_b
+def _drops(f: _Frames, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drops of the (K, n, 3) points onto side_b of their lunes (w / |w|
+    toward its center) and the (K, n) norms of their projections w onto its
+    plane.  Rounding tilts the short w of a point near the pole off the
+    plane; a second projection puts it back ("twice is enough", as for
+    Gram-Schmidt).  Each product with a normal is one (n, 3) by (3, 1)
+    product per lune, as numpy computes it for one lune alone."""
+    n_b = f.nb[:, :, None]
+    w = points - (points @ n_b) * f.nb[:, None]
+    w -= (w @ n_b) * f.nb[:, None]
     norms = vecmath.norm(w)
     with np.errstate(invalid="ignore"):  # a pole's w may vanish; `perpendicular_drop` rejects it by its norm
-        feet = w / norms[:, None]
-    flip = np.where(feet @ lune.side_b.center.v >= 0.0, 1.0, -1.0)
-    return feet * flip[:, None], norms
+        w /= norms[..., None]
+    w *= np.where(w @ f.b[:, :, None] >= 0.0, 1.0, -1.0)
+    return w, norms
 
 
 # An arc shorter than _SHORT_ARC gets no row bound (`_row_bounds`), and
@@ -173,6 +286,12 @@ def _cells(s: np.ndarray, lengths: np.ndarray, kh, kd, hd) -> tuple:
     degenerate = lengths < 1e-12
     cos[degenerate] = kh[degenerate]
     return sa, sb, cos
+
+
+def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Consecutive pieces of rows, each of at most _CELLS // width rows, or one."""
+    step = max(1, _CELLS // width)
+    return (rows[start : start + step] for start in range(0, len(rows), step))
 
 
 def _row_bounds(kh: np.ndarray, kd: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -235,9 +354,10 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     no cell within 1e-12 of the grid's largest cosine, and is left out.  The
     bound uses only the row's geometry, never the inequality the grid checks.
     """
-    _require_wide(lune)
+    delta = _require_wide(lune.thickness)
     _require_samples(samples_k, samples_l)
-    return _min_distance(lune, _chord(*equilateral_points(lune), samples_k), samples_l)
+    f = _frames(lune)
+    return float(_min_distances(f, _chords(*_equilateral_points(f, [phi(delta)]), samples_k), samples_l)[0])
 
 
 def _require_samples(*counts: int) -> None:
@@ -245,25 +365,108 @@ def _require_samples(*counts: int) -> None:
         raise DomainError("need at least 2 samples on each arc")
 
 
-def _chord(i: SpherePoint, j: SpherePoint, samples: int) -> np.ndarray:
-    """(samples, 3) evenly spaced points of the chord arc from i to j, ends included."""
-    return vecmath.slerp(i.v, j.v, np.linspace(0.0, 1.0, samples))
+def _chords(i: np.ndarray, j: np.ndarray, samples: int) -> np.ndarray:
+    """(K, samples, 3) evenly spaced points of the chord arcs from the rows
+    of i to those of j, ends included, by `vecmath.slerp`'s formula.  Each
+    arc is 2*phi > pi/2 long, never slerp's single point."""
+    t = np.linspace(0.0, 1.0, samples)[:, None]
+    theta = vecmath.ang(i, j)[:, None, None]
+    chords = np.sin((1.0 - t) * theta) * i[:, None]
+    chords += np.sin(t * theta) * j[:, None]
+    chords /= np.sin(theta)
+    return chords
 
 
-def _min_distance(lune: Lune, chord: np.ndarray, samples_l: int) -> float:
-    """`min_sampled_distance` over the chord points given."""
-    h = lune.side_b.center.v
-    drops = _drops(lune, chord)[0]  # (nk, 3)
-    lengths = vecmath.ang(h, drops)  # (nk,)
-    kh, kd, hd = (vecmath.dot(u, v)[:, None] for u, v in ((chord, h), (chord, drops), (drops, h)))
-    top = _cells(np.array([0.0, 1.0]), lengths, kh, kd, hd)[2].max()
-    rows = np.flatnonzero(_row_bounds(kh[:, 0], kd[:, 0], lengths) + _ROW_SLACK >= top - 1e-12)
-    chord, drops, lengths = chord[rows], drops[rows], lengths[rows]
-    sa, sb, cos = _cells(np.linspace(0.0, 1.0, samples_l), lengths, kh[rows], kd[rows], hd[rows])
-    ki, li = np.nonzero(cos >= cos.max() - 1e-12)
-    num = sa[ki, li, None] * h + sb[ki, li, None] * drops[ki]
-    num[lengths[ki] < 1e-12] = h
-    return float(vecmath.ang(chord[ki], vecmath.unit(num)).min())
+def _min_distances(f: _Frames, chords: np.ndarray, samples_l: int) -> np.ndarray:
+    """`min_sampled_distance` of each lune of f over its row of the
+    (K, n, 3) chord points given.
+
+    The rows of all K lunes are one flat list.  `top` and the largest
+    cosine are per lune, taken exactly by `np.maximum.at`.  The cells come
+    in pieces of _CELLS (`_row_blocks`); each piece keeps its cells within
+    1e-12 of its lunes' largest cosine so far, a superset of those within
+    1e-12 of the final one, which pick the cells at the end.
+    """
+    K, n = chords.shape[:2]
+    lune = np.repeat(np.arange(K), n)  # the lune of each chord row
+    h, drops = f.b[:, None], _drops(f, chords)[0]
+    lengths = vecmath.ang(h, drops).ravel()
+    kh, kd, hd = (vecmath.dot(u, v).reshape(-1, 1) for u, v in ((chords, h), (chords, drops), (drops, h)))
+    chord, drops = chords.reshape(-1, 3), drops.reshape(-1, 3)
+    top, ends = np.full(K, -np.inf), np.array([0.0, 1.0])
+    for r in _row_blocks(np.arange(K * n), len(ends)):
+        np.maximum.at(top, lune[r], _cells(ends, lengths[r], kh[r], kd[r], hd[r])[2].max(axis=1))
+    rows = np.flatnonzero(_row_bounds(kh[:, 0], kd[:, 0], lengths) + _ROW_SLACK >= top[lune] - 1e-12)
+    s = np.linspace(0.0, 1.0, samples_l)
+    best = np.full(K, -np.inf)
+    found = []
+    for r in _row_blocks(rows, samples_l):
+        sa, sb, cos = _cells(s, lengths[r], kh[r], kd[r], hd[r])
+        np.maximum.at(best, lune[r], cos.max(axis=1))
+        ki, li = np.nonzero(cos >= (best[lune[r]] - 1e-12)[:, None])
+        rk = r[ki]
+        num = sa[ki, li, None] * f.b[lune[rk]] + sb[ki, li, None] * drops[rk]
+        point_h = lengths[rk] < 1e-12
+        num[point_h] = f.b[lune[rk[point_h]]]
+        found.append((rk, cos[ki, li], vecmath.ang(chord[rk], vecmath.unit(num))))
+    rk, cos, angles = (np.concatenate(column) for column in zip(*found))
+    keep = cos >= best[lune[rk]] - 1e-12
+    least = np.full(K, np.inf)
+    np.minimum.at(least, lune[rk[keep]], angles[keep])
+    return least
+
+
+def lune_rows(deltas: Sequence[float], samples: int) -> list[dict]:
+    """`lune_checks` rows of the thicknesses deltas, in order.
+
+    The grid is computed in blocks of _LUNE_BLOCK lunes, each as one stack.
+    A delta that `lune_checks` would reject raises what it would raise;
+    the first such delta in grid order decides.
+    """
+    deltas = list(deltas)
+    rows = []
+    for start in range(0, len(deltas), _LUNE_BLOCK):
+        rows += _block_rows(deltas[start : start + _LUNE_BLOCK], samples)
+    return rows
+
+
+def _block_rows(deltas: list, samples: int) -> list[dict]:
+    """`lune_rows` of one block."""
+    f, faults = _lune_frames(deltas)
+    half_sides, point_half_sides = [], []
+    # each delta's checks in `lune_checks`' order, delta by delta
+    for delta, thickness, fault in zip(deltas, vecmath.ang(f.a, f.b).tolist(), faults):
+        if fault is not None:
+            raise DomainError(fault)
+        half_sides.append(phi(delta))
+        point_half_sides.append(phi(_require_wide(thickness)))  # `equilateral_points` takes phi of the thickness
+        _require_samples(samples)
+    i, j = _equilateral_points(f, point_half_sides)
+    chords = _chords(i, j, samples)
+    apex = f.b
+    sides = zip(*(vecmath.ang(u, v).tolist() for u, v in ((i, j), (i, apex), (j, apex))))
+    # Worst slack of |k apex| >= 2*phi over the sampled chord.
+    min_kh = vecmath.ang(chords, apex[:, None]).min(axis=1).tolist()
+    min_kl = _min_distances(f, chords, samples).tolist()
+    columns = zip(deltas, half_sides, i.tolist(), j.tolist(), apex.tolist(), sides, min_kh, min_kl)
+    return [
+        {
+            "thickness": delta,
+            "half_side": ph,
+            "point_i": point_i,
+            "point_j": point_j,
+            "apex": point_h,
+            "equilateral_sides": list(ijh),
+            "equilateral_max_residual": max(abs(s - 2.0 * ph) for s in ijh),
+            "chord_to_apex_min": kh,
+            "chord_to_apex_min_margin": kh - 2.0 * ph,
+            "sampled_min_distance": kl,
+            "sampled_min_margin": kl - 2.0 * ph,
+            "thickness_gap": delta - 2.0 * ph,
+            "samples": samples,
+        }
+        for delta, ph, point_i, point_j, point_h, ijh, kh, kl in columns
+    ]
 
 
 def lune_checks(delta: float, samples: int) -> dict:
@@ -275,30 +478,6 @@ def lune_checks(delta: float, samples: int) -> dict:
     `min_sampled_distance` on a samples x samples grid, each with its margin
     over 2*phi(delta).  `verify` reduces the equilateral residual and the
     sampled margin over its delta grid; `sphereconvex lune` prints the row.
+    It is `lune_rows` of the one thickness.
     """
-    lune = construct_lune(delta)
-    ph = phi(delta)
-    i, j = equilateral_points(lune)
-    _require_samples(samples)
-    # the chord of `min_sampled_distance(lune, samples, samples)`
-    chord = _chord(i, j, samples)
-    min_kl = _min_distance(lune, chord, samples)
-    apex = lune.side_b.center
-    sides = [distance(i, j), distance(i, apex), distance(j, apex)]
-    # Worst slack of |k apex| >= 2*phi over the sampled chord.
-    min_kh = float(vecmath.ang(chord, apex.v).min())
-    return {
-        "thickness": delta,
-        "half_side": ph,
-        "point_i": i.tolist(),
-        "point_j": j.tolist(),
-        "apex": apex.tolist(),
-        "equilateral_sides": sides,
-        "equilateral_max_residual": max(abs(s - 2.0 * ph) for s in sides),
-        "chord_to_apex_min": min_kh,
-        "chord_to_apex_min_margin": min_kh - 2.0 * ph,
-        "sampled_min_distance": min_kl,
-        "sampled_min_margin": min_kl - 2.0 * ph,
-        "thickness_gap": delta - 2.0 * ph,
-        "samples": samples,
-    }
+    return lune_rows([delta], samples)[0]

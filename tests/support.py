@@ -268,7 +268,7 @@ def stack_of(polys) -> pg._Rings:
 def dense_min_sampled_distance(lune, samples_k, samples_l) -> float:
     """`ln.min_sampled_distance` over the full (nk, nl, 3) grid, with no
     window: the reference it must match to the bit."""
-    ln._require_wide(lune)
+    ln._require_wide(lune.thickness)
     if samples_k < 2 or samples_l < 2:
         raise DomainError("need at least 2 samples on each arc")
     vecmath = ln.vecmath

@@ -143,9 +143,9 @@ class TestRunVerify:
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
-    def test_one_cpu_runs_grid_before_trials(self, monkeypatch):
-        # With one CPU the tasks run in list order, so the grid checks finish
-        # before the trials grow the heap.
+    def test_one_cpu_runs_grid_after_trials(self, monkeypatch):
+        # With one CPU the tasks run in list order: every trial chunk, then
+        # the lune rows of the whole grid as one stacked call.
         calls = []
 
         def recording(name):
@@ -157,13 +157,11 @@ class TestRunVerify:
 
             return wrapper
 
-        for name in ("lune_checks", "random_polygons"):
+        for name in ("lune_rows", "random_polygons"):
             monkeypatch.setattr(campaign, name, recording(name))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert run_verify(SMALL).overall_pass
-        first_trial = calls.index("random_polygons")
-        assert calls[:first_trial] == ["lune_checks"] * SMALL.delta_grid.steps
-        assert "lune_checks" not in calls[first_trial:]
+        assert calls == ["random_polygons"] * (len(calls) - 1) + ["lune_rows"]
 
     def test_report_text_formats(self, small_report):
         text = small_report.to_text()
@@ -300,6 +298,7 @@ class TestConfigValidation:
             {"delta_grid": None},
             {"delta_grid": DeltaGrid(lo=2.0, hi=3.1415926535, steps=5)},  # no lune within 1e-9 of pi
             {"delta_grid": DeltaGrid(lo=2.0, hi=3.14159265)},  # a lune, but no triangle of side 2*phi(hi)
+            {"delta_grid": DeltaGrid(lo=1.5707963267948968)},  # phi(lo) rounds to pi/4: no phi_inverse_delta
         ],
     )
     def test_rejected(self, kwargs):

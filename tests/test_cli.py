@@ -335,7 +335,7 @@ class TestVerifyCommand:
         assert (int(err.split()[-1]) == os.getpid()) == bool(other_threads)
         assert no_child_left()
 
-    @pytest.mark.parametrize("name", ["lune_checks", "_quad_errors", "tightness_table"])
+    @pytest.mark.parametrize("name", ["lune_rows", "_quad_errors", "tightness_table"])
     def test_grid_error_ends_pool(self, capsys, monkeypatch, in_child, name):
         # The grid checks are tasks of the same map as the trial chunks, so
         # the fork carries a fault planted on any of them into the workers;
@@ -346,7 +346,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(campaign, name, planted)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        kind = {"lune_checks": "lune", "_quad_errors": "quad", "tightness_table": "table"}[name]
+        kind = {"lune_rows": "lune", "_quad_errors": "quad", "tightness_table": "table"}[name]
         in_child(lambda task: task[0] == kind)
         code, out, err = run_cli(capsys, "verify", "--trials", str(2 * campaign.TRIAL_CHUNK), "--delta-steps", "2")
         assert code == 2
@@ -429,6 +429,23 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: delta grid hi=3.14159265 has no regular triangle of side 2*phi(hi): side=")
+
+    def test_grid_without_phi_inverse_fails_before_any_task(self, capsys, monkeypatch):
+        # one ulp above pi/2, phi(lo) rounds to pi/4, where phi_inverse_delta
+        # has no value for the phi_inverse_roundtrip check
+        def planted(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(campaign, "_map", planted)
+        monkeypatch.setattr(campaign, "random_polygons", planted)
+        lo = "1.5707963267948968"
+        code, out, err = run_cli(capsys, "verify", "--trials", "3", "--delta-steps", "2", "--delta-min", lo)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: delta grid lo={lo} has no phi_inverse_delta of phi(lo): "
+            "phi=0.7853981633974483 outside the open interval (pi/4, pi/3)\n"
+        )
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_non_finite_tolerance_exit_two(self, capsys, tol):

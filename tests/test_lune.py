@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from sphereconvex import (
     distance,
     equilateral_points,
     lune_checks,
+    lune_rows,
     min_sampled_distance,
     perpendicular_drop,
     phi,
@@ -85,6 +88,29 @@ class TestConstructLune:
     def test_corners_antipodal(self):
         lune = construct_lune(1.2)
         assert distance(lune.corners[0], lune.corners[1]) == pytest.approx(math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-9, 0.3, math.pi / 2, math.pi / 2 + 1e-12, 2.0, 3.0, math.pi - 1e-9])
+    def test_lune_is_the_checked_objects(self, delta):
+        # the stacked construction gives the bits of building and checking
+        # the lune's points, circles and sides one object at a time, with
+        # read-only vectors
+        half = delta / 2.0
+        center_a = SpherePoint((math.cos(half), 0.0, math.sin(half)))
+        center_b = SpherePoint((math.cos(half), 0.0, -math.sin(half)))
+        corners = (SpherePoint((0.0, 1.0, 0.0)), SpherePoint((0.0, -1.0, 0.0)))
+        side_a = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_a.v)), center_a)
+        side_b = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_b.v)), center_b)
+        want = Lune(side_a=side_a, side_b=side_b, corners=corners)
+        got = construct_lune(delta)
+
+        def vectors(lune):
+            sides = (lune.side_a, lune.side_b)
+            return [s.center.v for s in sides] + [s.circle.n for s in sides] + [c.v for c in lune.corners]
+
+        for g, w in zip(vectors(got), vectors(want)):
+            assert bits(g).tolist() == bits(w).tolist()
+            assert not g.flags.writeable
+        assert bits(got.thickness) == bits(want.thickness)
 
     def test_invalid_lune_rejected(self):
         lune = construct_lune(2.0)
@@ -364,3 +390,82 @@ class TestRotationInvariance:
         mi, mj = equilateral_points(moved)
         assert distance(SpherePoint(rotate(rot, i.v)), mi) <= 1e-12
         assert distance(SpherePoint(rotate(rot, j.v)), mj) <= 1e-12
+
+
+BLOCK_GRIDS = {
+    "default": np.linspace(math.pi / 2 + 1e-3, math.pi - 1e-3, 50),
+    "from_pi_2_plus_1e-9": np.linspace(math.pi / 2 + 1e-9, 2.0, 30),
+    "to_pi_minus_1e-3": np.linspace(3.0, math.pi - 1e-3, 30),
+    "one_delta": [2 * math.pi / 3],
+    "longer_than_a_block": np.linspace(math.pi / 2 + 1e-12, 3.1, 2 * ln._LUNE_BLOCK + 3),
+}
+
+
+class TestLuneRows:
+    @pytest.mark.parametrize("samples", [200, 7])
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS.keys())
+    def test_rows_are_single_rows(self, grid, samples):
+        # one stacked pass over the grid gives each delta's row to the bit
+        deltas = [float(d) for d in grid]
+        assert json.dumps(lune_rows(deltas, samples)) == json.dumps([lune_checks(d, samples) for d in deltas])
+
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS.keys())
+    def test_rows_are_the_scalar_api(self, grid):
+        # the triangle and the sampled minimum of each row are those of its
+        # canonical lune, whose points sit at phi of its thickness
+        deltas = [float(d) for d in grid]
+        for delta, row in zip(deltas, lune_rows(deltas, 30)):
+            lune = construct_lune(delta)
+            points = [p.v for p in (*equilateral_points(lune), lune.side_b.center)]
+            assert bits([row["point_i"], row["point_j"], row["apex"]]).tolist() == bits(points).tolist()
+            assert bits(row["sampled_min_distance"]) == bits(min_sampled_distance(lune, 30, 30))
+
+    def test_rows_match_the_full_grid(self):
+        # every row's sampled minimum is that of its own lune's full grid
+        deltas = [float(d) for d in BLOCK_GRIDS["longer_than_a_block"]]
+        rows = lune_rows(deltas, 41)
+        want = [dense_min_sampled_distance(construct_lune(d), 41, 41) for d in deltas]
+        assert bits([row["sampled_min_distance"] for row in rows]).tolist() == bits(want).tolist()
+
+    def test_empty_grid(self):
+        assert lune_rows([], 1) == []
+
+    @pytest.mark.parametrize("bad", [math.pi - 1e-10, 5.0, -1.0, math.nan])
+    def test_delta_without_lune_raises_its_own_message(self, bad):
+        deltas = [2.0, 2.5, bad, 3.0, math.pi - 1e-11]
+        with pytest.raises(DomainError) as own:
+            construct_lune(bad)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(own.value))}$"):
+            lune_rows(deltas, 20)
+
+    def test_first_failing_delta_decides(self):
+        # as for lune_checks of each delta in turn: 1.0 has a lune but no
+        # wide one, and comes before the delta that has none
+        with pytest.raises(DomainError, match=r"^delta=1.0 outside the open interval \(pi/2, pi\)$"):
+            lune_rows([2.0, 1.0, math.pi - 1e-10], 20)
+        with pytest.raises(DomainError, match="need at least 2 samples"):
+            lune_rows([2.0, 2.5], 1)
+
+    def test_blocks_bound_memory(self, monkeypatch):
+        # near pi/2 many chord rows pass the row bound; no stack holds more
+        # than a block of lunes, and no cell pass more than _CELLS cells
+        frames, cells = [], []
+        real_frames, real_cells = ln._lune_frames, ln._cells
+
+        def lune_frames(deltas):
+            frames.append(len(deltas))
+            return real_frames(deltas)
+
+        def cells_of(s, lengths, *columns):
+            cells.append((len(lengths), len(s)))
+            return real_cells(s, lengths, *columns)
+
+        monkeypatch.setattr(ln, "_lune_frames", lune_frames)
+        monkeypatch.setattr(ln, "_cells", cells_of)
+        rows = lune_rows(np.linspace(math.pi / 2 + 1e-12, math.pi / 2 + 1e-10, 2000).tolist(), 50)
+        assert len(rows) == 2000
+        assert max(frames) == ln._LUNE_BLOCK
+        assert len(frames) == 2000 // ln._LUNE_BLOCK
+        assert max(n * ns for n, ns in cells) <= ln._CELLS
+        # some blocks hold more selected rows than one cell pass takes
+        assert sum(ns > 2 for _, ns in cells) > len(frames)
