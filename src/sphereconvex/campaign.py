@@ -211,13 +211,7 @@ def _task(task: tuple):
     triangle table or a trial chunk.  Its function is looked up when it runs,
     so a forked worker calls what this process would."""
     kind, *args = task
-    return {"lune": _lune_rows, "quad": _quad_errors, "table": tightness_table, "trials": trial_chunk}[kind](*args)
-
-
-def _lune_rows(deltas: Sequence[float], samples: int) -> list[dict]:
-    """`lune.lune_rows` of the grid deltas, one stacked pass; `lune_rows` is
-    looked up when this runs, as `_task` looks up its functions."""
-    return lune_rows(deltas, samples)
+    return {"lune": lune_rows, "quad": _quad_errors, "table": tightness_table, "trials": trial_chunk}[kind](*args)
 
 
 def _claim(fd: int, stop: int | None = None) -> int:

@@ -14,8 +14,11 @@ operations below construct these objects and measure the inequalities.
 
 The measurements run on stacks of lunes (`_Frames`): `lune_rows` computes
 the rows of a whole thickness grid in blocks of _LUNE_BLOCK lunes, and
-`construct_lune`, `equilateral_points`, `perpendicular_drop`,
-`min_sampled_distance` and `lune_checks` are the same kernels at K = 1.
+`equilateral_points`, `perpendicular_drop`, `min_sampled_distance` and
+`lune_checks` are the same kernels at K = 1.  A canonical frame inside the
+lune domain passes every check of `Lune` and its parts by construction
+(`_lune_frames`), so `lune_rows` checks only the domain, and
+`construct_lune` wraps one frame in the checking constructors.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 from . import vecmath
 from .core import (
     EPS_ON,
-    EPS_UNIT,
     GreatCircle,
     Semicircle,
     SpherePoint,
@@ -43,16 +45,6 @@ from .quad import phi
 # the angle between its circles: nearer coincident or opposite circles are
 # no lune.
 EPS_LUNE = 1e-9
-
-# Why a frame is no lune: the checks of `Semicircle` and `Lune`, as
-# `_fault_codes` reports them.
-_FAULTS = (
-    "semicircle center does not lie on its circle",
-    "bounding circles coincide or are opposite; not a lune",
-    "corner does not lie on both bounding circles",
-    "corner is not an endpoint of a bounding semicircle",
-    "corners must be antipodal",
-)
 
 # `lune_rows` takes its grid in blocks of at most _LUNE_BLOCK lunes (the
 # default 50-step grid is two), and one `_cells` call takes at most _CELLS
@@ -92,9 +84,17 @@ class Lune:
     corners: tuple[SpherePoint, SpherePoint]
 
     def __post_init__(self):
-        code = _fault_codes(_frames(self))[0]
-        if code >= 0:
-            raise DomainError(_FAULTS[code])
+        cross = vecmath.cross(self.side_a.circle.n, self.side_b.circle.n)
+        if float(np.linalg.norm(cross)) < EPS_LUNE:
+            raise DomainError("bounding circles coincide or are opposite; not a lune")
+        for corner in self.corners:
+            for side in (self.side_a, self.side_b):
+                if not side.circle.contains(corner):
+                    raise DomainError("corner does not lie on both bounding circles")
+                if abs(distance(corner, side.center) - math.pi / 2) > 1e-10:
+                    raise DomainError("corner is not an endpoint of a bounding semicircle")
+        if distance(self.corners[0], self.corners[1]) < math.pi - 1e-9:
+            raise DomainError("corners must be antipodal")
 
     @cached_property
     def thickness(self) -> float:
@@ -107,46 +107,35 @@ def _frames(lune: Lune) -> _Frames:
     return _Frames(*(p.v[None] for p in vectors), lune.side_a.circle.n[None], lune.side_b.circle.n[None])
 
 
-def _fault_codes(f: _Frames) -> np.ndarray:
-    """Per lune, the index in _FAULTS of the first check it fails, or -1.
-
-    The checks are those its sides' `Semicircle`s and `Lune` make, in their
-    order and with the bits of their scalar tests: np.dot and
-    np.linalg.norm of 3-vectors are `vecmath.blas_dot`, and `distance` is
-    `vecmath.ang`.
-    """
-
-    def off(p, n):  # not `GreatCircle.contains`
-        return ~(np.abs(vecmath.blas_dot(p, n)) <= EPS_ON)
-
-    cross = vecmath.cross(f.na, f.nb)
-    checks = [(0, off(f.a, f.na)), (0, off(f.b, f.nb)), (1, np.sqrt(vecmath.blas_dot(cross, cross)) < EPS_LUNE)]
-    for corner in (f.c0, f.c1):
-        for n, center in ((f.na, f.a), (f.nb, f.b)):
-            checks += [(2, off(corner, n)), (3, np.abs(vecmath.ang(corner, center) - math.pi / 2) > 1e-10)]
-    checks.append((4, vecmath.ang(f.c0, f.c1) < math.pi - 1e-9))
-    codes, fails = (np.array(column) for column in zip(*checks))
-    return np.where(fails.any(axis=0), codes[fails.argmax(axis=0)], -1)
-
-
-def _unit_rows(w: np.ndarray) -> np.ndarray:
-    """`SpherePoint`'s unit rule on each row of w: a row within EPS_UNIT of
-    unit norm is kept, any other is divided by its norm, which has the bits
-    of np.linalg.norm."""
-    n = np.sqrt(vecmath.blas_dot(w, w))[..., None]
-    return np.where(np.abs(n - 1.0) > EPS_UNIT, w / n, w)
-
-
 def _lune_frames(deltas: Sequence[float]) -> tuple[_Frames, list[str | None]]:
     """The canonical lunes of thickness deltas as one stack and, per delta,
-    the message of the first check it fails, or None.
+    its domain error, or None for 0 < delta < pi with sin(delta) >= EPS_LUNE.
 
-    Pose: corners on the y-axis, semicircle centers on the x-z great circle
-    separated by delta and symmetric about (1, 0, 0).  Each row has the bits
-    of the objects that would make up its lune: scalars from `math`,
-    `SpherePoint`'s unit rule on every point and normal, and the checks of
-    `Semicircle` and `Lune` as array tests.  A delta outside the domain gets
-    the frame of delta = 0, whose faults are not read.
+    Pose: corners c0, c1 = (0, +-1, 0) on the y-axis, centers a, b =
+    (c, 0, +-s) with c, s the `math` cosine and sine of delta / 2, and
+    normals na, nb = c0 x a, c0 x b.  A delta outside the domain gets the
+    frame of delta = 0, which is not read.
+
+    A frame inside the domain passes every check of `SpherePoint`,
+    `GreatCircle`, `Semicircle` and `Lune`, so `construct_lune` only wraps
+    its row and `lune_rows` checks nothing more:
+
+    - c0 x (c, 0, +-s) = (+-s, 0, -c) exactly, each coordinate one product
+      with 1 or 0: a normal is its center's coordinates permuted, exactly as
+      unit as the center.  c^2 + s^2 is within a few ulps of 1, so every row
+      is within EPS_UNIT of unit, and the unit rule keeps its bits.
+    - A center's dot with its normal is cs - sc, 0 or one rounding of cs,
+      within EPS_ON.
+    - A corner's dot with each normal and with each center is exactly 0,
+      and its cross product with a center is that center's normal, so its
+      `distance` to the center, atan2(|normal|, 0), is exactly pi/2.
+    - c0 . c1 = -1 and c0 x c1 = 0: the corners are exactly pi apart.
+    - na x nb = (0, 2 fl(cs), 0), of norm 2 fl(cs), which `Lune` needs at
+      least EPS_LUNE where the domain needs sin(delta).  Near delta = 1e-9,
+      c = 1 and s = delta / 2 exactly, so 2 fl(cs) = delta = sin(delta) to
+      the bit.  Near pi - 1e-9, s = 1 and 2c differs from sin(delta) by
+      rounding, but no double falls between the two tests: none of the 6000
+      doubles on either side of that end does.
     """
     faults = [
         None
@@ -156,23 +145,10 @@ def _lune_frames(deltas: Sequence[float]) -> tuple[_Frames, list[str | None]]:
     ]
     halves = [d / 2.0 if fault is None else 0.0 for d, fault in zip(deltas, faults)]
     cos_sin = [(math.cos(half), math.sin(half)) for half in halves]
-    a = _unit_rows(np.array([(c, 0.0, s) for c, s in cos_sin]))
-    b = _unit_rows(np.array([(c, 0.0, -s) for c, s in cos_sin]))
+    a = np.array([(c, 0.0, s) for c, s in cos_sin])
+    b = np.array([(c, 0.0, -s) for c, s in cos_sin])
     c0, c1 = (np.broadcast_to(corner, a.shape) for corner in ((0.0, 1.0, 0.0), (0.0, -1.0, 0.0)))
-    f = _Frames(a, b, c0, c1, _unit_rows(vecmath.cross(c0, a)), _unit_rows(vecmath.cross(c0, b)))
-    codes = _fault_codes(f)
-    for k in np.flatnonzero(codes >= 0):
-        faults[k] = faults[k] or _FAULTS[codes[k]]
-    return f, faults
-
-
-def _built(cls, **fields):
-    """An instance of the frozen dataclass cls whose checks passed as array
-    tests, built without running them again."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+    return _Frames(a, b, c0, c1, vecmath.cross(c0, a), vecmath.cross(c0, b)), faults
 
 
 def construct_lune(delta: float) -> Lune:
@@ -181,19 +157,17 @@ def construct_lune(delta: float) -> Lune:
     sin(delta), which `Lune` needs at least EPS_LUNE, so no thickness within
     about 1e-9 of 0 or pi has a lune.
 
-    Row 0 of `_lune_frames`, which checks it as `Lune` would.
+    Row 0 of `_lune_frames` in the checking constructors, whose checks it
+    passes with its bits kept.
     """
     f, faults = _lune_frames([delta])
     if faults[0] is not None:
         raise DomainError(faults[0])
-    a, b, c0, c1, na, nb = (np.array(rows[0]) for rows in f)
-    for v in (a, b, c0, c1, na, nb):
-        v.flags.writeable = False
-    return _built(
-        Lune,
-        side_a=_built(Semicircle, circle=_built(GreatCircle, n=na), center=_built(SpherePoint, v=a)),
-        side_b=_built(Semicircle, circle=_built(GreatCircle, n=nb), center=_built(SpherePoint, v=b)),
-        corners=(_built(SpherePoint, v=c0), _built(SpherePoint, v=c1)),
+    a, b, c0, c1, na, nb = (rows[0] for rows in f)
+    return Lune(
+        side_a=Semicircle(GreatCircle(na), SpherePoint(a)),
+        side_b=Semicircle(GreatCircle(nb), SpherePoint(b)),
+        corners=(SpherePoint(c0), SpherePoint(c1)),
     )
 
 
@@ -216,12 +190,16 @@ def equilateral_points(lune: Lune) -> tuple[SpherePoint, SpherePoint]:
 
 def _equilateral_points(f: _Frames, half_sides: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """(K, 3) stacks of the `equilateral_points` of the lunes of f, at the
-    given half-sides, phi of each lune's thickness."""
+    given half-sides, phi of each lune's thickness, before the unit rule.
+
+    A canonical frame (`_lune_frames`) needs none: its corner c0 is
+    orthogonal to its center a to the bit, so u = c0, and each point
+    (cos a0, sin, cos a2) is within a few ulps of unit."""
     g = f.a
     u = vecmath.unit(vecmath.reject(f.c0, g))
     cos = np.array([math.cos(ph) for ph in half_sides])[:, None]
     sin = np.array([math.sin(ph) for ph in half_sides])[:, None]
-    return _unit_rows(cos * g + sin * u), _unit_rows(cos * g - sin * u)
+    return cos * g + sin * u, cos * g - sin * u
 
 
 def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
@@ -347,17 +325,19 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     cells.  Every cell's point lies on its row's arc (sa, sb >= 0), so its
     cosine is at most the row's bound (`_row_bounds`, the largest cosine of
     k with any point of the arc) plus the cell's rounding and the bound's,
-    a few ulps each; _ROW_SLACK = 1e-12 covers both with room to spare.
-    The two end cells of every row (s = 0 and s = 1), by the same formula,
-    are cells of the grid, so their largest cosine `top` is at most the
-    grid's largest.  A row whose bound + _ROW_SLACK is below top - 1e-12 has
-    no cell within 1e-12 of the grid's largest cosine, and is left out.  The
-    bound uses only the row's geometry, never the inequality the grid checks.
+    a few ulps each.  `top` is the largest k.h or k.drop of the lune's rows
+    (k.h alone on an arc shorter than 1e-12), the cosine of an end of some
+    row's arc.  That end's cell (s = 0 or s = 1) is (sa k.h) / sqrt(sa^2),
+    (sb k.drop) / sqrt(sb^2) or k.h, within an ulp or two of it, so top is
+    at most the grid's largest cosine plus a few ulps.  A row whose bound +
+    _ROW_SLACK is below top - 1e-12 therefore has every cell below the grid's
+    largest cosine - 1e-12, by _ROW_SLACK = 1e-12 less these three
+    roundings, and is left out.  The bound uses only the row's geometry,
+    never the inequality the grid checks.
     """
-    delta = _require_wide(lune.thickness)
+    i, j = equilateral_points(lune)
     _require_samples(samples_k, samples_l)
-    f = _frames(lune)
-    return float(_min_distances(f, _chords(*_equilateral_points(f, [phi(delta)]), samples_k), samples_l)[0])
+    return float(_min_distances(_frames(lune), _chords(i.v[None], j.v[None], samples_k), samples_l)[0])
 
 
 def _require_samples(*counts: int) -> None:
@@ -382,7 +362,7 @@ def _min_distances(f: _Frames, chords: np.ndarray, samples_l: int) -> np.ndarray
     (K, n, 3) chord points given.
 
     The rows of all K lunes are one flat list.  `top` and the largest
-    cosine are per lune, taken exactly by `np.maximum.at`.  The cells come
+    cosine are per lune, the largest taken by `np.maximum.at`.  The cells come
     in pieces of _CELLS (`_row_blocks`); each piece keeps its cells within
     1e-12 of its lunes' largest cosine so far, a superset of those within
     1e-12 of the final one, which pick the cells at the end.
@@ -393,9 +373,9 @@ def _min_distances(f: _Frames, chords: np.ndarray, samples_l: int) -> np.ndarray
     lengths = vecmath.ang(h, drops).ravel()
     kh, kd, hd = (vecmath.dot(u, v).reshape(-1, 1) for u, v in ((chords, h), (chords, drops), (drops, h)))
     chord, drops = chords.reshape(-1, 3), drops.reshape(-1, 3)
-    top, ends = np.full(K, -np.inf), np.array([0.0, 1.0])
-    for r in _row_blocks(np.arange(K * n), len(ends)):
-        np.maximum.at(top, lune[r], _cells(ends, lengths[r], kh[r], kd[r], hd[r])[2].max(axis=1))
+    # each row's larger arc-end cosine; an arc shorter than 1e-12 is the point h
+    ends = np.where(lengths < 1e-12, kh[:, 0], np.maximum(kh[:, 0], kd[:, 0]))
+    top = ends.reshape(K, n).max(axis=1)
     rows = np.flatnonzero(_row_bounds(kh[:, 0], kd[:, 0], lengths) + _ROW_SLACK >= top[lune] - 1e-12)
     s = np.linspace(0.0, 1.0, samples_l)
     best = np.full(K, -np.inf)

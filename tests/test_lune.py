@@ -26,6 +26,7 @@ from sphereconvex import (
     phi,
 )
 from sphereconvex import lune as ln, vecmath
+from sphereconvex.core import EPS_UNIT
 from strategies import rotate, rotations
 from support import bits, dense_min_sampled_distance
 
@@ -48,6 +49,23 @@ def rotated(lune, rot):
         side_b=rs(lune.side_b),
         corners=(rp(lune.corners[0]), rp(lune.corners[1])),
     )
+
+
+def checked_lune(delta):
+    """The canonical lune of thickness delta, built and checked one object
+    at a time from `math`'s cosine and sine of delta / 2, with no domain test."""
+    half = delta / 2.0
+    center_a = SpherePoint((math.cos(half), 0.0, math.sin(half)))
+    center_b = SpherePoint((math.cos(half), 0.0, -math.sin(half)))
+    corners = (SpherePoint((0.0, 1.0, 0.0)), SpherePoint((0.0, -1.0, 0.0)))
+    side_a = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_a.v)), center_a)
+    side_b = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_b.v)), center_b)
+    return Lune(side_a=side_a, side_b=side_b, corners=corners)
+
+
+def doubles_around(x, n):
+    """The n consecutive doubles below the positive double x, x, and the n above it."""
+    return (np.array(float(x)).view(np.int64) + np.arange(-n, n + 1)).view(float).tolist()
 
 
 class TestConstructLune:
@@ -94,13 +112,7 @@ class TestConstructLune:
         # the stacked construction gives the bits of building and checking
         # the lune's points, circles and sides one object at a time, with
         # read-only vectors
-        half = delta / 2.0
-        center_a = SpherePoint((math.cos(half), 0.0, math.sin(half)))
-        center_b = SpherePoint((math.cos(half), 0.0, -math.sin(half)))
-        corners = (SpherePoint((0.0, 1.0, 0.0)), SpherePoint((0.0, -1.0, 0.0)))
-        side_a = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_a.v)), center_a)
-        side_b = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_b.v)), center_b)
-        want = Lune(side_a=side_a, side_b=side_b, corners=corners)
+        want = checked_lune(delta)
         got = construct_lune(delta)
 
         def vectors(lune):
@@ -401,6 +413,41 @@ BLOCK_GRIDS = {
 }
 
 
+class TestCanonicalFrames:
+    def test_frames_pass_every_check(self):
+        # `_lune_frames` tests only the domain 0 < delta < pi, sin(delta) >=
+        # EPS_LUNE.  At 200 consecutive doubles on each side of both ends of
+        # that domain, where sin(delta) crosses EPS_LUNE, and on the default
+        # grid, the canonical lune passes the checks of `Lune` and its parts
+        # exactly where its frame passes that test, and `construct_lune`
+        # keeps the frame's bits
+        ends = [doubles_around(end, 200) for end in (1e-9, math.pi - 1e-9)]
+        deltas = [*ends[0], *ends[1], *BLOCK_GRIDS["default"].tolist()]
+        f, faults = ln._lune_frames(deltas)
+        for end in ends:  # each end window holds both outcomes
+            assert {math.sin(d) >= ln.EPS_LUNE for d in end} == {True, False}
+        for k, (delta, fault) in enumerate(zip(deltas, faults)):
+            try:
+                checked_lune(delta)
+            except DomainError:
+                assert fault is not None
+                with pytest.raises(DomainError, match=f"^{re.escape(fault)}$"):
+                    construct_lune(delta)
+            else:
+                assert fault is None
+                got = [rows[0] for rows in ln._frames(construct_lune(delta))]
+                assert bits(got).tolist() == bits([rows[k] for rows in f]).tolist()
+        # every row, and each equilateral point of a wide frame, is unit
+        # within EPS_UNIT, so the unit rule would keep its bits
+        assert np.all(np.abs(np.linalg.norm(np.stack(f), axis=-1) - 1.0) <= EPS_UNIT)
+        wide = np.array([fault is None and d > math.pi / 2 for d, fault in zip(deltas, faults)])
+        wide_frames = ln._Frames(*(rows[wide] for rows in f))
+        half_sides = [phi(t) for t in vecmath.ang(wide_frames.a, wide_frames.b).tolist()]
+        points = np.stack(ln._equilateral_points(wide_frames, half_sides))
+        assert points.shape == (2, wide.sum(), 3)
+        assert np.all(np.abs(np.linalg.norm(points, axis=-1) - 1.0) <= EPS_UNIT)
+
+
 class TestLuneRows:
     @pytest.mark.parametrize("samples", [200, 7])
     @pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS.keys())
@@ -468,4 +515,4 @@ class TestLuneRows:
         assert len(frames) == 2000 // ln._LUNE_BLOCK
         assert max(n * ns for n, ns in cells) <= ln._CELLS
         # some blocks hold more selected rows than one cell pass takes
-        assert sum(ns > 2 for _, ns in cells) > len(frames)
+        assert len(cells) > len(frames)
