@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EPS_ANTIPODE, SpherePoint
+from .core import SpherePoint
 from . import vecmath
-from .errors import DegeneratePair, DomainError, NoIntersection
+from .errors import DomainError
 
 # Inputs closer than this to the degenerate strip (kappa or lam == 0) are
 # rejected; the limits are exercised by tests, not extrapolated by the code.
@@ -131,24 +131,6 @@ def solve_quad(kappa: float, lam: float) -> QuadSolution:
     return QuadSolution(kappa=kappa, lam=lam, mu=mu, nu=nu, xi=xi)
 
 
-def _check_right_angles(Q: np.ndarray) -> None:
-    """Raise unless each quadrilateral a, b, c, d of the (K, 4, 3) stack Q
-    has right angles at a, b, c, as `angle_at` measures them, vertex by
-    vertex in stack order: DegeneratePair where a neighbour coincides with
-    the vertex or its antipode, DomainError where the angle is not right."""
-    W = vecmath.reject(Q[:, [3, 0, 1, 1, 2, 3]], Q[:, [0, 1, 2, 0, 1, 2]])  # toward d, a, b, then b, c, d
-    n = np.sqrt(vecmath.blas_dot(W, W))
-    with np.errstate(invalid="ignore", divide="ignore"):  # a zero tangent is degenerate, checked first
-        T = W / n[..., None]
-        bent = np.abs(vecmath.ang(T[:, :3], T[:, 3:]) - math.pi / 2) > 1e-10
-    degenerate = (n[:, :3] <= EPS_ANTIPODE) | (n[:, 3:] <= EPS_ANTIPODE)
-    fault = (degenerate | bent).ravel()
-    if fault.any():
-        if degenerate.ravel()[fault.argmax()]:
-            raise DegeneratePair("target coincides with the vertex or its antipode")
-        raise DomainError("embedding does not have right angles at a, b, c")
-
-
 def _measured(Q: np.ndarray) -> np.ndarray:
     """(K, 5) sides kappa, lam, mu, nu, xi read off a (K, 4, 3) stack of vertices a, b, c, d."""
     return vecmath.ang(Q[:, [0, 1, 2, 3, 1]], Q[:, [1, 2, 3, 0, 3]])
@@ -156,30 +138,46 @@ def _measured(Q: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadEmbedding:
-    """Realized vertices of a quadrilateral with right angles at a, b, c."""
+    """Vertices of a quadrilateral with right angles at a, b, c, as
+    `construct_quad` builds them: a plain value, right-angled by
+    construction (see `_embed`)."""
 
     a: SpherePoint
     b: SpherePoint
     c: SpherePoint
     d: SpherePoint
 
-    def __post_init__(self):
-        _check_right_angles(self._stack())
-
-    def _stack(self) -> np.ndarray:
-        return np.array([[self.a.v, self.b.v, self.c.v, self.d.v]])
-
     def measured(self) -> QuadSolution:
         """Side lengths read off the embedded vertices."""
-        return QuadSolution(*_measured(self._stack())[0].tolist())
+        return QuadSolution(*_measured(np.array([[self.a.v, self.b.v, self.c.v, self.d.v]]))[0].tolist())
 
 
 def _embed(kappa: Sequence[float], lam: Sequence[float]) -> np.ndarray:
     """(K, 4, 3) vertices a, b, c, d of `construct_quad` at each (kappa, lam)
-    pair, checked pair by pair.  The vertices, the norm of w and the sign of
-    d . (a + c) take the one-pair formulas' bits: the sines and cosines from
-    `math`, the norm and the sign through `vecmath.blas_dot`, the stacked
-    form of the 1-D BLAS dot."""
+    pair, checked pair by pair against `solve_quad`'s domain.  The vertices
+    and the norm of w take the one-pair formulas' bits: the sines and
+    cosines from `math`, the norm through `vecmath.blas_dot`, the stacked
+    form of the 1-D BLAS dot.
+
+    Every pair of the domain has right angles at a, b and c, so nothing is
+    checked after the domain.  On [1e-8, pi/2)^2 the sines and cosines sk,
+    ck, sl, cl of kappa and lam are all above 0 (the least is
+    cos(nextafter(pi/2, 0)) = 2.8e-16), and:
+
+    - the tangents at b toward a and c are (0, 0, sk) and (0, sl, 0), so
+      the angle at b is exactly right;
+    - n_a and n_c are the unit tangents of ba at a and of bc at c, so the
+      circles with those normals pass through a and c (n_a . a = sk ck -
+      ck sk = 0 exactly) at right angles to ba and bc;
+    - w = n_c x n_a = (cl ck, sl ck, cl sk), each component one rounded
+      product of positives, the least 8.0e-32 (at kappa = lam =
+      nextafter(pi/2, 0)), so |w| > 0 with no underflow, and d = w / |w|
+      is the circles' intersection to a few ulps however small |w| is:
+      |d . n_a| and |d . n_c| stay within 2 eps;
+    - d and a + c = (ck + cl, sl, sk) have no negative component, so
+      d . (a + c) > 0: d is the intersection on the quadrilateral's side,
+      never its antipode.
+    """
     for k, l in zip(kappa, lam):
         _check_side_domain(k, l)
     ck, sk, cl, sl = (
@@ -190,16 +188,10 @@ def _embed(kappa: Sequence[float], lam: Sequence[float]) -> np.ndarray:
     b = np.stack([zero + 1.0, zero, zero], axis=-1)
     c = np.stack([cl, sl, zero], axis=-1)
     a = np.stack([ck, zero, sk], axis=-1)
-    # Normals of the circles through a and c orthogonal to ba and bc: the
-    # unit tangents of those sides at a and c.
     n_a = np.stack([sk, zero, -ck], axis=-1)
     n_c = np.stack([sl, -cl, zero], axis=-1)
     w = vecmath.cross(n_c, n_a)
-    norm = np.sqrt(vecmath.blas_dot(w, w))
-    if np.any(norm < 1e-12):
-        raise NoIntersection("perpendiculars at a and c are coplanar")
-    d = w / norm[:, None]
-    d = np.where(vecmath.blas_dot(d, a + c)[:, None] < 0.0, -d, d)
+    d = w / np.sqrt(vecmath.blas_dot(w, w))[:, None]
     return np.stack([a, b, c, d], axis=1)
 
 
@@ -208,9 +200,9 @@ def construct_quad(kappa: float, lam: float) -> QuadEmbedding:
 
     Canonical pose: b at (1, 0, 0), bc along the equator, ba along the prime
     meridian, which makes the right angle at b exact.  Perpendicular great
-    circles are erected at a and c and intersected to obtain d; the
-    intersection candidate on the same side as the quadrilateral interior is
-    selected.  This is `measure_quads`' embedding for one pair.
+    circles are erected at a and c, and d is their one intersection on the
+    quadrilateral's side (see `_embed`).  This is `measure_quads`' embedding
+    for one pair.
     """
     return QuadEmbedding(*(SpherePoint(v) for v in _embed([kappa], [lam])[0]))
 
@@ -218,10 +210,8 @@ def construct_quad(kappa: float, lam: float) -> QuadEmbedding:
 def measure_quads(kappa: Sequence[float], lam: Sequence[float]) -> np.ndarray:
     """(K, 5) sides kappa, lam, mu, nu, xi measured off the embeddings of K
     (kappa, lam) pairs; row k has the bits of
-    construct_quad(kappa[k], lam[k]).measured(), and the same checks."""
-    Q = _embed(kappa, lam)
-    _check_right_angles(Q)
-    return _measured(Q)
+    construct_quad(kappa[k], lam[k]).measured(), and the same domain check."""
+    return _measured(_embed(kappa, lam))
 
 
 def check_identities(q: QuadSolution) -> tuple[float, float, float, float]:

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from sphereconvex import (
     phi_inverse_delta,
     solve_quad,
 )
-from sphereconvex.quad import _phi_formula, measure_quads
+from sphereconvex.quad import _embed, _phi_formula, measure_quads
 from support import bits, scalar_quad_sides
 
 # Frozen from a 40-digit evaluation of the closed forms; the side lengths
@@ -32,6 +31,7 @@ XI_05_06 = 0.7191096666625881
 # approach pi/2 together (just below pi/4).
 NEAR_OCTANT_SIDE = 0.7853981608974483
 
+EPS = np.finfo(float).eps
 sides = st.floats(0.01, math.pi / 2 - 0.01, allow_nan=False)
 # the whole domain, with extra weight at the 1e-8 floor and next to pi/2
 domain_sides = (
@@ -39,6 +39,22 @@ domain_sides = (
     | st.floats(math.pi / 2 - 1e-6, math.pi / 2, exclude_max=True)
     | st.floats(1e-8, math.pi / 2, exclude_max=True)
 )
+# pairs at the domain's edges, where no right angle measured off the four
+# vertices is well-conditioned: the tangent toward d at a or c is short, or
+# w = n_c x n_a is near 0
+HALF_PI_DOWN = math.nextafter(math.pi / 2, 0.0)
+EDGE_PAIRS = [
+    (0.3, 1e-7),
+    (1.5, 1e-8),
+    (1e-8, 1.5),
+    (0.3, math.pi / 2 - 1e-12),
+    (HALF_PI_DOWN, 0.3),
+    (0.3, HALF_PI_DOWN),
+    (HALF_PI_DOWN, HALF_PI_DOWN),
+    (1.5707963267948, 1.5707963267948),
+]
+_EDGE_SIDES = np.geomspace(1e-8, math.pi / 2 - 1e-12, 8).tolist()
+EDGE_GRID = [(kappa, lam) for kappa in _EDGE_SIDES for lam in _EDGE_SIDES]
 
 
 class TestPhi:
@@ -220,37 +236,80 @@ class TestStackedEmbedding:
     @given(st.lists(st.tuples(domain_sides, domain_sides), min_size=1, max_size=20))
     @settings(max_examples=80)
     @example([(1e-8, 1e-8), (1e-8, 0.3), (1e-6, 1.5), (math.pi / 2 - 1e-6, 0.3), (math.pi / 2 - 1e-12,) * 2])
-    @example([(0.5, 0.6), (1.5, 1e-8), (0.3, 1e-7)])  # d meets a: DegeneratePair at row 1
-    @example([(0.5, 0.6), (0.3, 1e-7), (1.5, 1e-8)])  # an angle off by more than 1e-10: DomainError at row 1
+    @example([(0.5, 0.6), (1.5, 1e-8), (0.3, 1e-7)])  # row 1's d is 7.1e-10 from a
+    @example([(0.5, 0.6), (0.3, 1e-7), (1.5, 1e-8)])  # row 1's tangent toward d at a has norm 9.55e-8
+    @example(EDGE_PAIRS)
     def test_rows_match_scalar_embeddings(self, pairs):
         # each row of one stack has the bits of the one-pair reference and of
-        # construct_quad(...).measured(); a stack raises what the first
-        # failing pair raises alone
-        def alone(kappa, lam):
-            try:
-                want = bits(scalar_quad_sides(kappa, lam)).tolist()
-            except SphereGeometryError as exc:
-                want = type(exc), str(exc)
-            try:
-                m = construct_quad(kappa, lam).measured()
-            except SphereGeometryError as exc:
-                assert want == (type(exc), str(exc))
-            else:
-                assert want == bits([m.kappa, m.lam, m.mu, m.nu, m.xi]).tolist()
-            return want
+        # construct_quad(...).measured()
+        want = [bits(scalar_quad_sides(kappa, lam)).tolist() for kappa, lam in pairs]
+        alone = [construct_quad(kappa, lam).measured() for kappa, lam in pairs]
+        assert [bits([m.kappa, m.lam, m.mu, m.nu, m.xi]).tolist() for m in alone] == want
+        assert bits(measure_quads(*zip(*pairs))).tolist() == want
 
-        want = [alone(kappa, lam) for kappa, lam in pairs]
-        errors = [w for w in want if isinstance(w, tuple)]
+    @given(st.lists(st.tuples(domain_sides, domain_sides), min_size=1, max_size=20))
+    @settings(max_examples=80)
+    @example(EDGE_PAIRS)
+    @example(EDGE_GRID)
+    def test_d_on_both_perpendiculars(self, pairs):
+        # the well-conditioned form of a right-angle test: d lies on the
+        # circles of normal n_a and n_c to rounding, on a + c's side, alone
+        # and in a stack
         kappas, lams = zip(*pairs)
-        if errors:
-            with pytest.raises(errors[0][0], match=re.escape(errors[0][1])):
-                measure_quads(kappas, lams)
-        else:
-            assert bits(measure_quads(kappas, lams)).tolist() == want
+        stacked = _embed(kappas, lams)[:, 3]
+        for (kappa, lam), row in zip(pairs, stacked):
+            a = np.array([math.cos(kappa), 0.0, math.sin(kappa)])
+            c = np.array([math.cos(lam), math.sin(lam), 0.0])
+            n_a = np.array([math.sin(kappa), 0.0, -math.cos(kappa)])
+            n_c = np.array([math.sin(lam), -math.cos(lam), 0.0])
+            for d in (construct_quad(kappa, lam).d.v, row):
+                assert abs(float(d @ n_a)) <= 2 * EPS
+                assert abs(float(d @ n_c)) <= 2 * EPS
+                assert float(d @ (a + c)) > 0.0
 
     def test_domain_checked_pair_by_pair(self):
         with pytest.raises(DomainError, match="lam=2.0 outside"):
             measure_quads([0.5, 0.5, 0.0], [0.6, 2.0, 0.6])
+
+
+def assert_routes_agree(kappa, lam):
+    # the closed form and the embedding, alone and stacked, accept the same
+    # pairs, with mu, nu and xi within 1e-15, or raise the same error class
+    routes = (lambda: construct_quad(kappa, lam).measured(), lambda: QuadSolution(*measure_quads([kappa], [lam])[0]))
+    try:
+        want = solve_quad(kappa, lam)
+    except SphereGeometryError as exc:
+        for route in routes:
+            with pytest.raises(SphereGeometryError) as info:
+                route()
+            assert info.type is type(exc)
+        return
+    for route in routes:
+        got = route()
+        assert max(abs(got.mu - want.mu), abs(got.nu - want.nu), abs(got.xi - want.xi)) <= 1e-15
+
+
+class TestOneDomain:
+    @given(domain_sides, domain_sides)
+    @settings(max_examples=200)
+    @example(*EDGE_PAIRS[0])
+    @example(*EDGE_PAIRS[1])
+    @example(*EDGE_PAIRS[2])
+    @example(*EDGE_PAIRS[3])
+    @example(*EDGE_PAIRS[4])
+    @example(*EDGE_PAIRS[5])
+    @example(*EDGE_PAIRS[6])
+    @example(*EDGE_PAIRS[7])
+    def test_routes_agree(self, kappa, lam):
+        assert_routes_agree(kappa, lam)
+
+    def test_routes_agree_on_edge_grid(self):
+        for kappa, lam in EDGE_GRID:
+            assert_routes_agree(kappa, lam)
+
+    @pytest.mark.parametrize("kappa,lam", [(0.0, 0.5), (0.5, math.pi / 2), (1e-9, 0.5), (-0.1, 0.5)])
+    def test_routes_reject_alike(self, kappa, lam):
+        assert_routes_agree(kappa, lam)
 
 
 class TestCheckIdentities:

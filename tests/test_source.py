@@ -1,7 +1,9 @@
 """Static checks on the library's own source."""
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sphereconvex
+from sphereconvex import cli
 
 PACKAGE = Path(sphereconvex.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -146,3 +149,31 @@ def test_cli_import_leaves_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "[]"
 
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_synopsis(text: str) -> dict[str, set[str]]:
+    """The `--` options of each `sphereconvex <cmd>` line in the first code
+    block under README's `## Command line`."""
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```", 2)[1]
+    return {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+        for line in block.splitlines()
+        if line.startswith("sphereconvex ")
+    }
+
+
+def _parser_options() -> dict[str, set[str]]:
+    """The `--` options, without --help, of each subcommand of the CLI parser."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {opt for action in p._actions for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_synopsis_matches_parser():
+    # README's synopsis lists every subcommand with exactly the options it takes
+    assert _readme_synopsis(README.read_text()) == _parser_options()
