@@ -30,8 +30,6 @@ from .errors import (
     DomainError,
     InvalidPolygon,
     NoHemisphere,
-    NoIntersection,
-    NotOnArc,
     ParameterOutOfRange,
     PoleDegenerate,
     SamplingExhausted,
@@ -45,7 +43,6 @@ from .lune import (
     lune_checks,
     lune_rows,
     min_sampled_distance,
-    perpendicular_drop,
 )
 from .polygon import (
     EPS_ANGLE,

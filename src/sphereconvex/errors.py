@@ -21,14 +21,6 @@ class ParameterOutOfRange(SphereGeometryError):
     """An arc parameter lies outside [0, 1]."""
 
 
-class NotOnArc(SphereGeometryError):
-    """The point does not lie on the required arc."""
-
-
-class NoIntersection(SphereGeometryError):
-    """An expected intersection of constructions could not be found."""
-
-
 class InvalidPolygon(SphereGeometryError):
     """Vertex data does not describe a convex spherical polygon."""
 

@@ -9,16 +9,17 @@ at distance phi(delta) from its center, together with the opposite center,
 form an equilateral triangle of side 2*phi(delta).  Every point k of the
 chord arc between those two points satisfies |k h| >= 2*phi(delta) for the
 opposite center h, and more generally |k l| >= 2*phi(delta) for every l on
-the arc from h to the orthogonal drop of k onto the far semicircle.  The
-operations below construct these objects and measure the inequalities.
+the arc from h to the orthogonal drop of k onto the far semicircle; on that
+arc |k l| is least at l = h (`min_sampled_distance`).  The operations below
+construct these objects and measure the inequalities.
 
 The measurements run on stacks of lunes (`_Frames`): `lune_rows` computes
 the rows of a whole thickness grid in blocks of _LUNE_BLOCK lunes, and
-`equilateral_points`, `perpendicular_drop`, `min_sampled_distance` and
-`lune_checks` are the same kernels at K = 1.  A canonical frame inside the
-lune domain passes every check of `Lune` and its parts by construction
-(`_lune_frames`), so `lune_rows` checks only the domain, and
-`construct_lune` wraps one frame in the checking constructors.
+`equilateral_points`, `min_sampled_distance` and `lune_checks` are the same
+kernels at K = 1.  A canonical frame inside the lune domain passes every
+check of `Lune` and its parts by construction (`_lune_frames`), so
+`lune_rows` checks only the domain, and `construct_lune` wraps one frame in
+the checking constructors.
 """
 
 from __future__ import annotations
@@ -26,19 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import vecmath
-from .core import (
-    EPS_ON,
-    GreatCircle,
-    Semicircle,
-    SpherePoint,
-    distance,
-)
-from .errors import DomainError, NotOnArc
+from .core import GreatCircle, Semicircle, SpherePoint, distance
+from .errors import DomainError
 from .quad import phi
 
 # Least norm of the cross product of a lune's two circle normals, the sine of
@@ -47,13 +42,9 @@ from .quad import phi
 EPS_LUNE = 1e-9
 
 # `lune_rows` takes its grid in blocks of at most _LUNE_BLOCK lunes (the
-# default 50-step grid is two), and one `_cells` call takes at most _CELLS
-# cells (chord rows x arc samples), or one row, so no temporary grows with
-# the grid.  A block's (K, n, 3) stacks at 200 samples are 120 KB each, and
-# _CELLS cells are 256 KB per array, less than the 320 KB of one 200 x 200
-# lune.
+# default 50-step grid is two), so no temporary grows with the grid: a
+# block's (K, n, 3) stacks at 200 samples are 120 KB each.
 _LUNE_BLOCK = 25
-_CELLS = 1 << 15
 
 
 class _Frames(NamedTuple):
@@ -202,100 +193,23 @@ def _equilateral_points(f: _Frames, half_sides: Sequence[float]) -> tuple[np.nda
     return cos * g + sin * u, cos * g - sin * u
 
 
-def perpendicular_drop(lune: Lune, k: SpherePoint) -> SpherePoint:
-    """Intersection of side_b with the great circle through k orthogonal to it.
-
-    k must lie on the chord arc between the two equilateral points of side_a.
-    The drop is the intersection candidate lying on the semicircle side_b
-    (the one within pi/2 of its center); for a wide lune it is the far
-    crossing, at distance at least the thickness from k.
-    """
-    delta = _require_wide(lune.thickness)
-    if not lune.side_a.circle.contains(k, EPS_ON):
-        raise NotOnArc("point is not on the circle carrying the chord arc")
-    if distance(k, lune.side_a.center) > phi(delta) + 1e-9:
-        raise NotOnArc("point is outside the chord arc between the equilateral points")
-    drops, norms = _drops(_frames(lune), k.v[None, None])
-    if norms[0, 0] < 1e-12:
-        raise NotOnArc("point is a pole of the far circle; the drop is not unique")
-    return SpherePoint(drops[0, 0])
-
-
-def _drops(f: _Frames, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drops of the (K, n, 3) points onto side_b of their lunes (w / |w|
-    toward its center) and the (K, n) norms of their projections w onto its
-    plane.  Rounding tilts the short w of a point near the pole off the
-    plane; a second projection puts it back ("twice is enough", as for
-    Gram-Schmidt).  Each product with a normal is one (n, 3) by (3, 1)
-    product per lune, as numpy computes it for one lune alone."""
+def _drops(f: _Frames, points: np.ndarray) -> np.ndarray:
+    """Drops of the (K, n, 3) points onto side_b's circle of their lunes:
+    the far foot -w / |w|, for the projection w of each point onto the
+    circle's plane, or side_b's center h for a point within 1e-12 of the
+    circle's pole, which is within 1e-12 of pi/2 from every point of the
+    circle and has no drop to the rounding of w.  Rounding tilts the short w
+    of a point near the pole off the plane; a second projection puts it
+    back ("twice is enough", as for Gram-Schmidt).  Each product with a
+    normal is one (n, 3) by (3, 1) product per lune, as numpy computes it
+    for one lune alone."""
     n_b = f.nb[:, :, None]
     w = points - (points @ n_b) * f.nb[:, None]
     w -= (w @ n_b) * f.nb[:, None]
-    norms = vecmath.norm(w)
-    with np.errstate(invalid="ignore"):  # a pole's w may vanish; `perpendicular_drop` rejects it by its norm
-        w /= norms[..., None]
-    w *= np.where(w @ f.b[:, :, None] >= 0.0, 1.0, -1.0)
-    return w, norms
-
-
-# An arc shorter than _SHORT_ARC gets no row bound (`_row_bounds`), and
-# `min_sampled_distance` adds _ROW_SLACK to a row's bound before it drops it.
-_SHORT_ARC = 1e-6
-_ROW_SLACK = 1e-12
-
-
-def _cells(s: np.ndarray, lengths: np.ndarray, kh, kd, hd) -> tuple:
-    """The grid's cells at arc fractions s for rows of arc length `lengths`:
-    the sines sa, sb of the two parts of the arc at each cell and the cell's
-    cosine (sa kh + sb kd) / sqrt(sa^2 + sb^2 + 2 sa sb hd), with kh, kd, hd
-    the rows' (n, 1) columns k.h, k.drop and drop.h.  A row whose arc is
-    shorter than 1e-12 is the point h: its cells are k.h."""
-    sa = np.sin((1.0 - s)[None, :] * lengths[:, None])  # (n, ns)
-    sb = np.sin(s[None, :] * lengths[:, None])
-    # cos = (sa kh + sb kd) / sqrt(sa (sa + 2 hd sb) + sb^2), in place
-    den = sb * (2.0 * hd)
-    den += sa
-    den *= sa
-    den += sb * sb
-    cos = sa * kh
-    cos += sb * kd
-    with np.errstate(invalid="ignore"):  # a zero-length arc's cells are 0 / 0; kh replaces them
-        cos /= np.sqrt(den, out=den)
-    degenerate = lengths < 1e-12
-    cos[degenerate] = kh[degenerate]
-    return sa, sb, cos
-
-
-def _row_blocks(rows: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """Consecutive pieces of rows, each of at most _CELLS // width rows, or one."""
-    step = max(1, _CELLS // width)
-    return (rows[start : start + step] for start in range(0, len(rows), step))
-
-
-def _row_bounds(kh: np.ndarray, kd: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Largest cosine of each chord point k with the points of its arc from h
-    to its drop, from the row's geometry alone; inf for an arc shorter than
-    _SHORT_ARC.
-
-    The arc point at angle theta from h is cos(theta) h + sin(theta) e, with
-    e = (drop - cos(L) h) / sin(L) for the arc's length L, so its cosine with
-    k is A cos(theta) + B sin(theta), with A = k.h and
-    B = (k.drop - k.h cos(L)) / sin(L): a sinusoid that peaks at hypot(A, B)
-    at theta0 = atan2(B, A).  On [0, L] it rises to its peak and falls after
-    it, so its largest value there is the peak if theta0 is in [0, L], and
-    the larger end value, max(k.h, k.drop), otherwise.
-
-    B's rounding is a few ulps divided by sin(L), but the peak's derivative
-    in B is sin(theta0) <= sin(L), so the peak is within a few ulps too; the
-    second-order term, and the peak lost when rounding moves theta0 just
-    past an end, are of order (ulp / L)^2 < 1e-19 for L >= _SHORT_ARC.
-    Shorter arcs, where 1 / sin(L) takes over, get no bound.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):  # L = 0: no bound is used
-        b = (kd - kh * np.cos(lengths)) / np.sin(lengths)
-    peak = np.arctan2(b, kh)
-    bound = np.where((0.0 <= peak) & (peak <= lengths), np.hypot(kh, b), np.maximum(kh, kd))
-    return np.where(lengths < _SHORT_ARC, np.inf, bound)
+    norms = vecmath.norm(w)[..., None]
+    with np.errstate(invalid="ignore"):  # a pole's w may vanish; h replaces its drop
+        w /= -norms
+    return np.where(norms < 1e-12, f.b[:, None], w)
 
 
 def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
@@ -307,37 +221,48 @@ def min_sampled_distance(lune: Lune, samples_k: int, samples_l: int) -> float:
     deterministic function of the grid; it is bounded below by
     2*phi(thickness) up to rounding.
 
-    Point l is num / |num| with num = sa h + sb drop, the sines sa and sb of
-    the two parts of the arc at l, so its cosine with k is
-    (sa (k.h) + sb (k.drop)) / sqrt(sa^2 + sb^2 + 2 sa sb (h.drop)), one
-    scalar per cell (`_cells`).  The arc is at most pi/2 long and sa, sb >= 0,
-    so |num| >= (sa + sb) / sqrt(2), and this cosine is within a few ulps of
-    the true one; `vecmath.ang` is within a few ulps of the true angle.  A
-    cell whose cosine is below the largest by more than 1e-12 is so at least
-    1e-12 - 1e-15 truly, so it is truly farther by as much (|d cos| <=
-    |d angle|), and its angle rounds above that of the cell of largest
-    cosine: it is not the minimum.  Only the cells within 1e-12 of the
-    largest cosine get their point and angle, by the formulas of the full
-    grid, so the minimum has the full grid's bits.  An arc shorter than
-    1e-12 is the point h.
+    The least |k l| on each arc is at l = h.  Let w be k's projection onto
+    the plane of side_b's circle.  A point x of the circle at angle psi from
+    the near foot w / |w| has k.x = w.x = |w| cos(psi), so |k x| grows with
+    psi from the near foot (psi = 0) to the far foot, the drop (psi = pi),
+    along either half of the circle.  The chord point at distance
+    t <= phi < pi/2 from side_a's center has cos|k h| = cos(delta) cos(t) < 0
+    (spherical Pythagoras: the arc from that center to h is perpendicular to
+    side_a's circle), so the drop lies on side_b: drop.h = -(k.h) / |w| >= 0.
+    The arc from h to the drop, of length L <= pi/2, therefore runs psi from
+    pi - L to pi, where |k l| only grows.  A pole, dropped onto h
+    (`_drops`), has the one-point arc h.
 
-    Only the rows (chord points k) that can hold such a cell get their
-    cells.  Every cell's point lies on its row's arc (sa, sb >= 0), so its
-    cosine is at most the row's bound (`_row_bounds`, the largest cosine of
-    k with any point of the arc) plus the cell's rounding and the bound's,
-    a few ulps each.  `top` is the largest k.h or k.drop of the lune's rows
-    (k.h alone on an arc shorter than 1e-12), the cosine of an end of some
-    row's arc.  That end's cell (s = 0 or s = 1) is (sa k.h) / sqrt(sa^2),
-    (sb k.drop) / sqrt(sb^2) or k.h, within an ulp or two of it, so top is
-    at most the grid's largest cosine plus a few ulps.  A row whose bound +
-    _ROW_SLACK is below top - 1e-12 therefore has every cell below the grid's
-    largest cosine - 1e-12, by _ROW_SLACK = 1e-12 less these three
-    roundings, and is left out.  The bound uses only the row's geometry,
-    never the inequality the grid checks.
+    So only the grid's s = 0 cells are computed (`_min_distances`), and
+    they give the grid's computed minimum, not only its true one.  The cell
+    at fraction s of an arc is unit(sin((1 - s) L) h + sin(s L) drop), or
+    unit(h) on an arc shorter than 1e-12.  Its computed angle with k is
+    within e = 1e-15, a few ulps, of the true angle of k with that point on
+    the true arc: the arc is at most pi/2 long, so the vector normalized is
+    at least 1/sqrt(2) times the sum of its two sines long; and the computed
+    drop is the far foot to within e / |w|, which moves |k l| by at most
+    |w| (e / |w|)^2 < e^2 / 1e-12.  Along the arc,
+    cos|k h| - cos|k l_s| = |w| (cos((1 - s) L) - cos(L)) is a concave
+    function of s that is 0 at s = 0, so it is at least s |w| (1 - cos L),
+    and the angle rises by at least as much as the cosine falls.  So a
+    row's cells s > 0 compute above its own s = 0 cell where
+    |w| (1 - cos L) / (samples_l - 1) > 2e, and above the least s = 0 cell
+    of the grid where the row's own exceeds it by more than 2e.  That leaves
+    the rows with a flat first step whose |k h| is within 2e of the chord's
+    least.  The chord's ends have arcs of at least pi/3 and |w| of at least
+    1/sqrt(2) (on 900 thicknesses across the domain); a short arc belongs to
+    a k near side_a's center, at about delta from h, which is
+    |cos delta| (1 - cos phi) in cosine above the ends, so only lunes within
+    about 1e-14 of pi/2 have such rows.  That the s = 0 cell wins there too
+    rests on a scan, not a bound: against `tests/support.py`'s full grid,
+    it keeps the bits on every double within 3000 ulps above pi/2 and on
+    400 thicknesses log-spaced from pi/2 + 1e-15 to pi/2 + 0.1, at 2, 7, 41
+    and 201 samples, and on 39,000 rotated lunes of 2 to 251 samples, 16,200
+    of them within 8 ulps above pi/2.
     """
     i, j = equilateral_points(lune)
     _require_samples(samples_k, samples_l)
-    return float(_min_distances(_frames(lune), _chords(i.v[None], j.v[None], samples_k), samples_l)[0])
+    return float(_min_distances(_frames(lune), _chords(i.v[None], j.v[None], samples_k))[0])
 
 
 def _require_samples(*counts: int) -> None:
@@ -357,43 +282,17 @@ def _chords(i: np.ndarray, j: np.ndarray, samples: int) -> np.ndarray:
     return chords
 
 
-def _min_distances(f: _Frames, chords: np.ndarray, samples_l: int) -> np.ndarray:
+def _min_distances(f: _Frames, chords: np.ndarray) -> np.ndarray:
     """`min_sampled_distance` of each lune of f over its row of the
-    (K, n, 3) chord points given.
-
-    The rows of all K lunes are one flat list.  `top` and the largest
-    cosine are per lune, the largest taken by `np.maximum.at`.  The cells come
-    in pieces of _CELLS (`_row_blocks`); each piece keeps its cells within
-    1e-12 of its lunes' largest cosine so far, a superset of those within
-    1e-12 of the final one, which pick the cells at the end.
-    """
-    K, n = chords.shape[:2]
-    lune = np.repeat(np.arange(K), n)  # the lune of each chord row
-    h, drops = f.b[:, None], _drops(f, chords)[0]
-    lengths = vecmath.ang(h, drops).ravel()
-    kh, kd, hd = (vecmath.dot(u, v).reshape(-1, 1) for u, v in ((chords, h), (chords, drops), (drops, h)))
-    chord, drops = chords.reshape(-1, 3), drops.reshape(-1, 3)
-    # each row's larger arc-end cosine; an arc shorter than 1e-12 is the point h
-    ends = np.where(lengths < 1e-12, kh[:, 0], np.maximum(kh[:, 0], kd[:, 0]))
-    top = ends.reshape(K, n).max(axis=1)
-    rows = np.flatnonzero(_row_bounds(kh[:, 0], kd[:, 0], lengths) + _ROW_SLACK >= top[lune] - 1e-12)
-    s = np.linspace(0.0, 1.0, samples_l)
-    best = np.full(K, -np.inf)
-    found = []
-    for r in _row_blocks(rows, samples_l):
-        sa, sb, cos = _cells(s, lengths[r], kh[r], kd[r], hd[r])
-        np.maximum.at(best, lune[r], cos.max(axis=1))
-        ki, li = np.nonzero(cos >= (best[lune[r]] - 1e-12)[:, None])
-        rk = r[ki]
-        num = sa[ki, li, None] * f.b[lune[rk]] + sb[ki, li, None] * drops[rk]
-        point_h = lengths[rk] < 1e-12
-        num[point_h] = f.b[lune[rk[point_h]]]
-        found.append((rk, cos[ki, li], vecmath.ang(chord[rk], vecmath.unit(num))))
-    rk, cos, angles = (np.concatenate(column) for column in zip(*found))
-    keep = cos >= best[lune[rk]] - 1e-12
-    least = np.full(K, np.inf)
-    np.minimum.at(least, lune[rk[keep]], angles[keep])
-    return least
+    (K, n, 3) chord points given: the least angle of a chord point k with
+    its arc's s = 0 cell, unit(sin(L) h) for an arc of length L, or unit(h)
+    for an arc shorter than 1e-12, as in the grid."""
+    h = f.b[:, None]
+    lengths = vecmath.ang(h, _drops(f, chords))[..., None]
+    with np.errstate(invalid="ignore"):  # a zero-length arc's cell is 0 / 0; unit(h) replaces it
+        cells = vecmath.unit(np.sin(lengths) * h)
+    cells = np.where(lengths < 1e-12, vecmath.unit(h), cells)
+    return vecmath.ang(chords, cells).min(axis=1)
 
 
 def lune_rows(deltas: Sequence[float], samples: int) -> list[dict]:
@@ -427,7 +326,7 @@ def _block_rows(deltas: list, samples: int) -> list[dict]:
     sides = zip(*(vecmath.ang(u, v).tolist() for u, v in ((i, j), (i, apex), (j, apex))))
     # Worst slack of |k apex| >= 2*phi over the sampled chord.
     min_kh = vecmath.ang(chords, apex[:, None]).min(axis=1).tolist()
-    min_kl = _min_distances(f, chords, samples).tolist()
+    min_kl = _min_distances(f, chords).tolist()
     columns = zip(deltas, half_sides, i.tolist(), j.tolist(), apex.tolist(), sides, min_kh, min_kl)
     return [
         {

@@ -5,8 +5,8 @@ interpolation, chart projection) so a defect in the production code cannot
 hide inside its own oracle.  The exception is `dense_boundary_diameters`,
 the unfiltered enumeration the prefilters must match to the bit, which
 therefore runs the library's own formulas; so do
-`dense_min_sampled_distance`, the full grid behind the lune clearance
-window, `scalar_quad_sides`, the one-pair embedding behind the stacked
+`dense_min_sampled_distance`, the full grid whose s = 0 cells are the lune
+clearance, `scalar_quad_sides`, the one-pair embedding behind the stacked
 quadrilaterals, and `reference_ring_faults`, the cycle checks with the
 winding sum taken per ring length, whose decisions the one masked sum of
 `pg._ring_faults` must give.  `generator_draw` is one attempt's draws from
@@ -266,8 +266,10 @@ def stack_of(polys) -> pg._Rings:
 
 
 def dense_min_sampled_distance(lune, samples_k, samples_l) -> float:
-    """`ln.min_sampled_distance` over the full (nk, nl, 3) grid, with no
-    window: the reference it must match to the bit."""
+    """`ln.min_sampled_distance` over the full (nk, nl, 3) grid, every arc
+    point computed: the reference it must match to the bit.  Each chord
+    point's arc runs from h to its far foot on side_b's circle, or is the
+    point h if the chord point is within 1e-12 of the circle's pole."""
     ln._require_wide(lune.thickness)
     if samples_k < 2 or samples_l < 2:
         raise DomainError("need at least 2 samples on each arc")
@@ -281,9 +283,8 @@ def dense_min_sampled_distance(lune, samples_k, samples_l) -> float:
 
     w = chord - (chord @ n_b)[:, None] * n_b
     w -= (w @ n_b)[:, None] * n_b
-    feet = vecmath.unit(w)
-    flip = np.where(feet @ h >= 0.0, 1.0, -1.0)
-    drops = feet * flip[:, None]  # (nk, 3)
+    norms = np.linalg.norm(w, axis=1)[:, None]
+    drops = np.where(norms < 1e-12, h, w / -np.maximum(norms, 1e-300))  # (nk, 3)
 
     lengths = vecmath.ang(h, drops)  # (nk,)
     s = np.linspace(0.0, 1.0, samples_l)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from sphereconvex import (
     DomainError,
     GreatCircle,
     Lune,
-    NotOnArc,
     Semicircle,
     SpherePoint,
     arc_point,
@@ -22,7 +22,6 @@ from sphereconvex import (
     lune_checks,
     lune_rows,
     min_sampled_distance,
-    perpendicular_drop,
     phi,
 )
 from sphereconvex import lune as ln, vecmath
@@ -61,6 +60,12 @@ def checked_lune(delta):
     side_a = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_a.v)), center_a)
     side_b = Semicircle(GreatCircle(vecmath.cross(corners[0].v, center_b.v)), center_b)
     return Lune(side_a=side_a, side_b=side_b, corners=corners)
+
+
+def perpendicular_drop(lune, k):
+    """The drop of k onto side_b, as the clearance computes it: `ln._drops`
+    of one point of one lune."""
+    return SpherePoint(ln._drops(ln._frames(lune), k.v[None, None])[0, 0])
 
 
 def doubles_around(x, n):
@@ -223,22 +228,13 @@ class TestPerpendicularDrop:
         assert abs(float(np.dot(drop.v, lune.side_b.circle.n))) <= 1e-15
         assert distance(lune.side_a.center, drop) >= lune.thickness - 1e-12
 
-    def test_far_pole_rejected(self):
-        # side_b's pole is 5e-11 off side_a's circle, so it passes the arc
-        # checks; its projection onto side_b's plane is exactly zero
+    def test_pole_drops_to_center(self):
+        # side_b's pole is pi/2 from every point of the circle, so no foot
+        # is the far one, and its projection onto side_b's plane is exactly
+        # zero here; its arc is the point h
         lune = construct_lune(math.pi / 2 + 5e-11)
-        with pytest.raises(NotOnArc, match="pole"):
-            perpendicular_drop(lune, SpherePoint(-lune.side_b.circle.n))
-
-    def test_off_circle_rejected(self):
-        lune = construct_lune(2.0)
-        with pytest.raises(NotOnArc):
-            perpendicular_drop(lune, SpherePoint((1.0, 0.0, 0.0)))
-
-    def test_beyond_chord_rejected(self):
-        lune = construct_lune(2.0)
-        with pytest.raises(NotOnArc):
-            perpendicular_drop(lune, lune.corners[0])
+        drop = perpendicular_drop(lune, SpherePoint(-lune.side_b.circle.n))
+        assert bits(drop.v).tolist() == bits(lune.side_b.center.v).tolist()
 
     @given(wide_deltas, st.floats(0.0, 1.0))
     @settings(max_examples=40)
@@ -309,17 +305,18 @@ class TestChordBounds:
     @settings(max_examples=60)
     @example(3.1, 201, 200, None)  # the middle chord point drops onto h itself: a zero-length arc
     @example(2.5, 3, 2, None)
-    @example(math.pi / 2 + 1e-12, 3, 2, None)  # the zero-length arc is in the window
+    @example(math.pi / 2 + 1e-12, 3, 2, None)  # the middle chord point is just within 1e-12 of side_b's pole
     @example(math.pi / 2 + 1e-9, 250, 250, None)
-    # near pi/2 many chord points are almost as close to the far arc as the
-    # ends, so many rows survive the row bound: all 101, 91 of 201, 11 of 249
+    # near pi/2 every chord point is almost as close to h as the ends are
     @example(math.pi / 2 + 3e-12, 101, 101, None)
     @example(math.pi / 2 + 1e-11, 201, 200, None)
+    @example(math.pi / 2 + 1e-11, 201, 200, Rotation.from_rotvec([0.3, -1.1, 0.7]))
     @example(math.pi / 2 + 1e-10, 249, 7, None)
     @example(1.5707963268048966, 201, 201, None)  # the middle chord point is 1e-11 from side_b's pole
+    @example(float(np.nextafter(math.pi / 2, 4)), 101, 101, Rotation.from_rotvec([-1.1, 0.3, 0.3]))  # k.h of either sign
     def test_min_sampled_distance_matches_full_grid(self, delta, samples_k, samples_l, rot):
-        # only the cells near the largest cosine get an angle; the minimum
-        # must be the full grid's to the bit, or fail as the full grid does
+        # only the s = 0 cells get an angle; the minimum must be the full
+        # grid's to the bit, or fail as the full grid does
         def outcome(f, lune):
             try:
                 return bits(f(lune, samples_k, samples_l)).tolist()
@@ -343,33 +340,13 @@ class TestChordBounds:
         assert row["sampled_min_margin"] >= -1e-15
         assert row["sampled_min_distance"] == row["chord_to_apex_min"]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_row_bound_covers_grid_cells(self, seed):
-        # random rows (k, h, drop): the bound plus its slack is at least every
-        # grid cell's cosine, and it is the row's largest cosine, not a loose
-        # cap; half the rows put k's peak strictly inside the arc
-        rng = np.random.default_rng(seed)
-        n = 800
-        h = vecmath.unit(rng.normal(size=(n, 3)))
-        e = vecmath.unit(np.cross(h, rng.normal(size=(n, 3))))
-        length = np.where(rng.random(n) < 0.5, 10 ** rng.uniform(-6, 0, n), rng.uniform(0, math.pi / 2, n))
-        drop = vecmath.unit(np.cos(length)[:, None] * h + np.sin(length)[:, None] * e)
-        k = vecmath.unit(rng.normal(size=(n, 3)))
-        inner = rng.random(n) < 0.5
-        theta = rng.uniform(0.0, 1.0, n) * length
-        tilt = rng.uniform(-1.5, 1.5, n)
-        on_arc = np.cos(theta)[:, None] * h + np.sin(theta)[:, None] * e
-        k[inner] = vecmath.unit(np.cos(tilt)[:, None] * on_arc + np.sin(tilt)[:, None] * np.cross(h, e))[inner]
-        kh, kd, hd = (vecmath.dot(u, v) for u, v in ((k, h), (k, drop), (drop, h)))
-        lengths = vecmath.ang(h, drop)
-        keep = lengths >= ln._SHORT_ARC
-        kh, kd, hd, lengths = kh[keep], kd[keep], hd[keep], lengths[keep]
-        bound = ln._row_bounds(kh, kd, lengths)
-        _, _, cos = ln._cells(np.linspace(0.0, 1.0, 401), lengths, kh[:, None], kd[:, None], hd[:, None])
-        peak = np.arctan2(kd - kh * np.cos(lengths), kh * np.sin(lengths))
-        assert np.mean((0.0 < peak) & (peak < lengths)) > 0.4
-        assert np.all(bound + ln._ROW_SLACK >= cos.max(axis=1))
-        assert np.all(bound <= cos.max(axis=1) + 1e-5)
+    @pytest.mark.parametrize("samples", [(3, 2), (101, 101)])
+    def test_turned_lune_next_to_pi_2_keeps_clearance(self, samples):
+        # one double above pi/2, turned: k.h rounds to either sign, and the
+        # foot within pi/2 of h was the near one for some chord points,
+        # whose arcs then reached pi/4 from k
+        lune = rotated(construct_lune(float(np.nextafter(math.pi / 2, 4))), Rotation.from_rotvec([-1.1, 0.3, 0.3]))
+        assert min_sampled_distance(lune, *samples) >= 2 * phi(lune.thickness) - 1e-15
 
     def test_sample_counts_validated(self):
         lune = construct_lune(2.0)
@@ -467,11 +444,13 @@ class TestLuneRows:
             assert bits([row["point_i"], row["point_j"], row["apex"]]).tolist() == bits(points).tolist()
             assert bits(row["sampled_min_distance"]) == bits(min_sampled_distance(lune, 30, 30))
 
-    def test_rows_match_the_full_grid(self):
+    @pytest.mark.parametrize("samples", [2, 7, 41])
+    @pytest.mark.parametrize("grid", BLOCK_GRIDS.values(), ids=BLOCK_GRIDS.keys())
+    def test_rows_match_the_full_grid(self, grid, samples):
         # every row's sampled minimum is that of its own lune's full grid
-        deltas = [float(d) for d in BLOCK_GRIDS["longer_than_a_block"]]
-        rows = lune_rows(deltas, 41)
-        want = [dense_min_sampled_distance(construct_lune(d), 41, 41) for d in deltas]
+        deltas = [float(d) for d in grid]
+        rows = lune_rows(deltas, samples)
+        want = [dense_min_sampled_distance(construct_lune(d), samples, samples) for d in deltas]
         assert bits([row["sampled_min_distance"] for row in rows]).tolist() == bits(want).tolist()
 
     def test_empty_grid(self):
@@ -494,25 +473,16 @@ class TestLuneRows:
             lune_rows([2.0, 2.5], 1)
 
     def test_blocks_bound_memory(self, monkeypatch):
-        # near pi/2 many chord rows pass the row bound; no stack holds more
-        # than a block of lunes, and no cell pass more than _CELLS cells
-        frames, cells = [], []
-        real_frames, real_cells = ln._lune_frames, ln._cells
+        # no stack holds more than a block of lunes
+        frames = []
+        real_frames = ln._lune_frames
 
         def lune_frames(deltas):
             frames.append(len(deltas))
             return real_frames(deltas)
 
-        def cells_of(s, lengths, *columns):
-            cells.append((len(lengths), len(s)))
-            return real_cells(s, lengths, *columns)
-
         monkeypatch.setattr(ln, "_lune_frames", lune_frames)
-        monkeypatch.setattr(ln, "_cells", cells_of)
         rows = lune_rows(np.linspace(math.pi / 2 + 1e-12, math.pi / 2 + 1e-10, 2000).tolist(), 50)
         assert len(rows) == 2000
         assert max(frames) == ln._LUNE_BLOCK
         assert len(frames) == 2000 // ln._LUNE_BLOCK
-        assert max(n * ns for n, ns in cells) <= ln._CELLS
-        # some blocks hold more selected rows than one cell pass takes
-        assert len(cells) > len(frames)

@@ -83,6 +83,26 @@ def test_no_unused_private_names(name):
     assert [f"{n} (line {line})" for n, line in defined.items() if n not in used] == []
 
 
+def _error_classes(tree: ast.Module) -> list[str]:
+    """The classes of errors.py that derive, directly or not, from its base
+    SphereGeometryError."""
+    errors = {"SphereGeometryError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in errors for b in node.bases):
+            errors.add(node.name)
+    return sorted(errors - {"SphereGeometryError"})
+
+
+def test_every_error_is_raised_or_caught():
+    # an exception type that no module of the library names outside errors.py
+    # and its re-export in __init__.py is never raised or caught: it is dead
+    # (an import alone does not count, since test_no_unused_imports fails it)
+    used = set().union(*(_used_names(tree) for name, tree in TREES.items() if name not in ("errors.py", "__init__.py")))
+    errors = _error_classes(TREES["errors.py"])
+    assert len(errors) > 5
+    assert [e for e in errors if e not in used] == []
+
+
 def _import_time_modules(node: ast.AST) -> list[str]:
     """Modules imported when the module runs: every import outside a function body."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
